@@ -490,7 +490,7 @@ def _run_campaign(args) -> int:
     from .experiments.runner import engine_from_args
 
     spec = load_spec(args.spec)
-    engine = engine_from_args(args, engine_keyed_cache=True)
+    engine = engine_from_args(args)
     runner = CampaignRunner(spec, engine,
                             shard_index=args.shard_index,
                             shard_count=args.shard_count)
@@ -538,7 +538,7 @@ def _run_serve(args) -> int:
     from .campaign import make_server
     from .experiments.runner import engine_from_args
 
-    engine = engine_from_args(args, engine_keyed_cache=True)
+    engine = engine_from_args(args)
     server, _ = make_server(args.host, args.port, engine,
                             default_max_instructions=args.max_instructions,
                             verbose=args.verbose)
@@ -683,6 +683,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+
+    if args.command == "run" and args.dump_codegen is not None \
+            and args.engine != "codegen":
+        print("error: --dump-codegen requires --engine codegen",
+              file=sys.stderr)
+        return 2
 
     options_kwargs = dict(
         opt_level=args.opt_level,

@@ -2,18 +2,21 @@
 
 Every experiment job is described by a *self-contained payload*: the
 workload sources, the full :class:`InstrumentationConfig`, the compile
-options, the VM budget, and the runtime knobs.  The cache key is the
-SHA-256 of the canonical JSON of that payload plus the repro package
-version, so
+options, the VM budget, the runtime knobs, and the VM execution engine.
+The cache key is the SHA-256 of the canonical JSON of that payload plus
+the repro package version, so
 
-* identical (workload, configuration) requests -- whether they come
-  from another experiment module, another process, or another
-  ``benchmarks/bench_*.py`` invocation -- resolve to the same entry;
+* identical (workload, configuration, engine) requests -- whether they
+  come from an experiment table, a campaign shard, ``repro serve``, or
+  another process -- resolve to the same entry;
 * *any* change to the keyed inputs (a workload source edit, a config
-  flag, a different extension point or instruction budget, a package
-  upgrade) changes the key and therefore invalidates the entry
-  automatically.  Stale entries are never consulted; they are simply
-  unreachable garbage.
+  flag, a different extension point, instruction budget or VM engine,
+  a package upgrade) changes the key and therefore invalidates the
+  entry automatically.  Stale entries are never consulted; they are
+  simply unreachable garbage.
+
+The key is also the engine's in-process memo key and the campaign
+layer's shard fingerprint: there is exactly one result key.
 
 Entries are one JSON file per key under ``<dir>/<key[:2]>/<key>.json``,
 written atomically (temp file + ``os.replace``) so concurrent writers
@@ -31,6 +34,7 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from .. import __version__
+from ..vm.engines import DEFAULT_ENGINE
 
 #: Bump when the BenchResult JSON schema changes incompatibly; old
 #: entries then miss instead of deserializing garbage.  Version 3:
@@ -40,12 +44,11 @@ CACHE_FORMAT_VERSION = 3
 
 #: Payload fields that do not influence the measured result: the
 #: reference output is itself a deterministic function of the keyed
-#: inputs (it is the baseline run's output), the timeout only bounds
-#: the job's wall clock, and the VM execution engine is bit-identical
-#: by contract (the closure-compiled tier produces exactly the tree-
-#: walker's RuntimeStats), so results cached under either engine
-#: replay for both.
-_NON_KEY_FIELDS = ("reference_output", "timeout", "engine")
+#: inputs (it is the baseline run's output), and the timeout only
+#: bounds the job's wall clock.  The VM engine *is* keyed: the engines
+#: are bit-identical by contract, but a cached result must never stand
+#: in for a run of a different engine than the one requested.
+_NON_KEY_FIELDS = ("reference_output", "timeout")
 
 
 def default_cache_dir() -> Path:
@@ -60,20 +63,13 @@ def default_cache_dir() -> Path:
     return Path(base) / "repro-bench"
 
 
-def job_key(payload: dict, engine_keyed: bool = False) -> str:
+def job_key(payload: dict) -> str:
     """Content hash of a job payload (minus the non-key fields).
 
-    With ``engine_keyed=True`` the VM execution engine *is* part of the
-    key: campaigns that deliberately sweep both VM tiers partition the
-    cache per engine, so a shard resuming an ``interp`` instance can
-    never be served a ``compiled`` entry (and vice versa) -- which is
-    what keeps mixed-engine campaign results honest while still fully
-    resumable.  The default, engine-agnostic key encodes the two tiers'
-    bit-identical-statistics contract: either engine's result answers
-    for both."""
+    A payload without an ``engine`` field keys as the default engine's,
+    so payloads built before the field existed resolve unchanged."""
     keyed = {k: v for k, v in payload.items() if k not in _NON_KEY_FIELDS}
-    if engine_keyed:
-        keyed["engine"] = payload.get("engine", "compiled")
+    keyed.setdefault("engine", DEFAULT_ENGINE)
     keyed["repro_version"] = __version__
     keyed["cache_format"] = CACHE_FORMAT_VERSION
     blob = json.dumps(keyed, sort_keys=True, separators=(",", ":"))

@@ -37,7 +37,7 @@ from ..errors import ConfigError
 from ..experiments.cache import ResultCache
 from ..experiments.common import BenchResult
 from ..experiments.runner import ExperimentEngine, JobRequest
-from ..vm.engines import ENGINES
+from ..vm.engines import DEFAULT_ENGINE, ENGINES
 from ..workloads import Workload
 from .generator import CoverageReport, GeneratedProgram
 
@@ -111,7 +111,7 @@ FULL_MATRIX = Matrix.from_instances("full", standard_instances(
 
 QUICK_MATRIX = Matrix.from_instances("quick", standard_instances(
     ("baseline", "softbound", "lowfat"),
-    engines=("compiled",),
+    engines=(DEFAULT_ENGINE,),
 ))
 
 MATRICES: Dict[str, Matrix] = {m.name: m for m in (FULL_MATRIX, QUICK_MATRIX)}
@@ -235,9 +235,9 @@ class DifferentialOracle:
     ``jobs`` fans the matrix out over worker processes (the underlying
     :class:`ExperimentEngine` schedules baselines first, then the rest
     in one wave).  A disk ``cache`` is refused for multi-engine
-    matrices: the cache is engine-agnostic by contract, so it would
-    satisfy the second engine's cells from the first engine's stored
-    results and turn the engine comparison into a tautology.
+    matrices: a cached result does not re-run the engine under test, so
+    a warm cache would compare stored results instead of executions and
+    could not catch an engine that has since diverged.
     """
 
     def __init__(
@@ -259,8 +259,8 @@ class DifferentialOracle:
         if cache is not None and len(matrix.engines) > 1:
             raise ConfigError(
                 "a result cache cannot be used with a multi-engine "
-                "matrix: cache keys are engine-agnostic, so cached "
-                "results would make the engine comparison vacuous")
+                "matrix: a cached result does not re-run the engine "
+                "under test, so the engine comparison would be vacuous")
         self.matrix = matrix
         self._instances = matrix.instances()
         self.engine = ExperimentEngine(

@@ -83,7 +83,7 @@ _STORE_COST = costs.INSTRUCTION_COSTS["store"]
 
 # Canonical engine registry lives in .engines; re-exported here for
 # backwards compatibility (CLI builders and campaign code import it).
-from .engines import ENGINES  # noqa: E402
+from .engines import DEFAULT_ENGINE, ENGINES  # noqa: E402
 
 # Per-predicate comparison dispatch: one operator call per executed
 # icmp instead of building and indexing a ten-entry table.
@@ -116,7 +116,7 @@ class VirtualMachine:
         stats: Optional[RuntimeStats] = None,
         max_instructions: Optional[int] = 500_000_000,
         install_default_libc: bool = True,
-        engine: str = "compiled",
+        engine: str = DEFAULT_ENGINE,
         profile: bool = False,
     ):
         if engine not in ENGINES:

@@ -13,6 +13,7 @@ from repro.campaign import (
 from repro.errors import ConfigError
 from repro.experiments.cache import ResultCache
 from repro.experiments.runner import ExperimentEngine
+from repro.workloads import get
 
 MAX_INSTRUCTIONS = 3_000_000
 
@@ -39,7 +40,6 @@ def _spec(engines=("compiled",), labels=("baseline", "softbound"),
 def _engine(tmp_path=None, **kwargs):
     cache = (ResultCache(tmp_path / "cache")
              if tmp_path is not None else None)
-    kwargs.setdefault("engine_keyed_cache", True)
     return ExperimentEngine(cache=cache, **kwargs)
 
 
@@ -92,13 +92,28 @@ class TestResume:
                 == [c.to_json() for c in warm.cells])
 
     def test_interp_cells_cached_under_their_own_engine(self, tmp_path):
-        # the engine-keyed cache must never serve an interp cell a
+        # the cache must never serve an interp cell a
         # compiled result: prime with compiled only, then ask for interp
         run_campaign(_spec(engines=("compiled",)), _engine(tmp_path))
         interp = run_campaign(_spec(engines=("interp",)),
                               _engine(tmp_path))
         assert interp.cache_hits == 0
         assert interp.executed_jobs > 0
+
+    def test_campaign_reuses_experiment_results(self, tmp_path):
+        # an experiment table and a campaign share one result key: the
+        # cells a report run computed are served to the campaign
+        report = _engine(tmp_path)
+        report.run(get("197parser"), "softbound")
+        assert report.executed_jobs == 2  # baseline + instrumented
+
+        spec = CampaignSpec("reuse", standard_instances(
+            ("baseline", "softbound")), [Target("197parser")])
+        campaign = run_campaign(spec, _engine(tmp_path))
+        assert campaign.ok
+        assert campaign.executed_jobs == 0
+        assert campaign.cache_hits == 2
+        assert len(report.cache) == 2  # no duplicate entries written
 
 
 class TestSharding:

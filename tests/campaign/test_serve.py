@@ -29,8 +29,7 @@ int main() {
 
 @pytest.fixture
 def server(tmp_path):
-    engine = ExperimentEngine(cache=ResultCache(tmp_path / "cache"),
-                              engine_keyed_cache=True)
+    engine = ExperimentEngine(cache=ResultCache(tmp_path / "cache"))
     server, service = make_server("127.0.0.1", 0, engine,
                                   default_max_instructions=MAX_INSTRUCTIONS)
     thread = threading.Thread(target=server.serve_forever, daemon=True)

@@ -22,6 +22,7 @@ from repro.experiments.cache import ResultCache, job_key
 from repro.experiments.common import BenchResult
 from repro.experiments.runner import ExperimentEngine, JobRequest
 from repro.experiments import runner as runner_mod
+from repro.vm.engines import DEFAULT_ENGINE, ENGINES
 from repro.workloads import Workload, get
 
 FAST_WORKLOADS = ("197parser", "456hmmer")
@@ -186,17 +187,36 @@ class TestDiskCache:
         assert job_key(payload) == job_key(same)
         assert job_key(payload) != job_key(other)
 
-    def test_key_ignores_vm_engine(self):
-        # The engines are bit-identical by contract (enforced by
-        # tests/vm/test_engine_differential.py), so the engine choice
-        # must not partition the cache -- and payloads written before
-        # the field existed must key identically to new ones.
+    def test_key_is_engine_qualified(self):
+        # A cached result must never answer for another engine; a
+        # payload without the field keys as the default engine.
         payload = {"workload": "w", "sources": {"tu0": "int main(){}"}}
-        assert job_key(dict(payload, engine="compiled")) == job_key(payload)
-        assert job_key(dict(payload, engine="interp")) == \
-            job_key(dict(payload, engine="compiled"))
-        assert job_key(dict(payload, engine="codegen")) == \
-            job_key(dict(payload, engine="compiled"))
+        keys = {job_key(dict(payload, engine=name)) for name in ENGINES}
+        assert len(keys) == len(ENGINES)
+        assert job_key(payload) == \
+            job_key(dict(payload, engine=DEFAULT_ENGINE))
+
+    def test_key_is_pinned(self):
+        # Campaign and serve caches stay valid: these digests are the
+        # keys the engine-qualified scheme has always produced for this
+        # payload.  Update them only when ``__version__`` or
+        # ``CACHE_FORMAT_VERSION`` changes, never for a refactoring of
+        # the key function.
+        payload = {
+            "workload": "pinned", "label": "softbound",
+            "extension_point": "VectorizerStart",
+            "sources": {"main.c": "int main() { return 0; }"},
+            "obfuscated_units": [], "config": None, "opt_level": 3,
+            "link_time_optimization": True, "max_instructions": 1000000,
+            "lf_region_capacity": None, "reference_output": ["0"],
+            "timeout": 5.0, "engine": "interp",
+        }
+        assert job_key(payload) == (
+            "f89e219d76f34a912ca36dac5ca7c795"
+            "4b9d1c70ebfbeaa4b85244ebfd9969ea")
+        assert job_key(dict(payload, engine="compiled")) == (
+            "0584fec5502e678673a8f4045ddb1a7a"
+            "0e16e1633322f2242567d96da72dd23c")
 
     def test_format_version_tracks_schema_changes(self):
         # The closure-compiled tier required no bump (engines are
@@ -207,42 +227,31 @@ class TestDiskCache:
 
         assert CACHE_FORMAT_VERSION == 3
 
-    def test_interp_cached_result_replays_for_compiled(self, tmp_path,
-                                                       monkeypatch):
-        first = _engine(tmp_path, vm_engine="interp")
+    def test_switching_engine_recomputes(self, tmp_path):
+        # --engine must not be ignored once the cache is warm: the
+        # interp run executes its jobs instead of replaying the
+        # compiled tier's entries.
+        first = _engine(tmp_path, vm_engine="compiled")
         original = first.run(get("197parser"), "softbound")
 
-        _forbid_execution(monkeypatch)
-        second = _engine(tmp_path, vm_engine="compiled")
-        cached = second.run(get("197parser"), "softbound")
-        assert cached.to_json() == original.to_json()
-        assert second.cache_hits == 1
-        assert second.executed_jobs == 0
-
-    def test_codegen_cached_result_replays_for_other_tiers(self, tmp_path,
-                                                           monkeypatch):
-        first = _engine(tmp_path, vm_engine="codegen")
-        original = first.run(get("197parser"), "softbound")
-
-        _forbid_execution(monkeypatch)
-        for other in ("compiled", "interp"):
-            replay = _engine(tmp_path, vm_engine=other)
-            cached = replay.run(get("197parser"), "softbound")
-            assert cached.to_json() == original.to_json()
-            assert replay.cache_hits == 1
-            assert replay.executed_jobs == 0
+        second = _engine(tmp_path, vm_engine="interp")
+        fresh = second.run(get("197parser"), "softbound")
+        assert second.cache_hits == 0
+        assert second.executed_jobs == 2  # baseline + instrumented
+        assert fresh.to_json() == original.to_json()
+        assert len(second.cache) == 4
 
     def test_old_style_payload_without_engine_field_replays(self, tmp_path,
                                                             monkeypatch):
-        # Simulate a cache entry written by a revision that predates
-        # the engine field: store under the key of an engine-less
-        # payload and verify today's engine resolves to it.
+        # A payload built before the engine field existed names no
+        # engine; it must key as today's default-engine payload, so the
+        # default engine's entries resolve for it.
         engine = _engine(tmp_path)
         request = JobRequest(get("197parser"), "baseline")
         payload = engine._payload(request)
-        assert payload["engine"] == "compiled"
+        assert payload["engine"] == DEFAULT_ENGINE
         old_payload = {k: v for k, v in payload.items() if k != "engine"}
-        assert job_key(old_payload) == job_key(payload)
+        assert job_key(old_payload) == engine.fingerprint(request)
 
         fresh = engine.run_request(request)
         _forbid_execution(monkeypatch)
@@ -358,8 +367,7 @@ class TestVerifyCache:
 class TestEngineOverride:
     """``JobRequest.engine`` lets one batch mix VM tiers (the fuzz
     oracle's engine-differential matrix).  The memo must keep the tiers
-    apart, the implicit baseline must inherit the override, and the
-    engine-agnostic disk cache must stand aside for overridden jobs."""
+    apart and the implicit baseline must inherit the override."""
 
     def test_override_reaches_the_worker(self):
         engine = ExperimentEngine(jobs=1, vm_engine="compiled")
@@ -402,54 +410,37 @@ class TestEngineOverride:
         assert results[1].to_json() == results[0].to_json()
         assert results[2].to_json() == results[0].to_json()
 
-    def test_override_bypasses_disk_cache(self, tmp_path):
-        """A cached-at-``vm_engine`` result must not satisfy an
-        override request, and an override result must not be stored."""
-        workload = get("197parser")
-        first = _engine(tmp_path, vm_engine="compiled")
-        first.run(workload, "baseline")
-        stored = len(first.cache)
-        assert stored >= 1
-
-        second = _engine(tmp_path, vm_engine="compiled")
-        second.run_request(JobRequest(workload, "baseline",
-                                      engine="interp"))
-        assert second.cache_hits == 0
-        assert second.executed_jobs == 1
-        assert len(second.cache) == stored  # nothing new written
-
     def test_matching_override_still_uses_cache(self, tmp_path,
                                                 monkeypatch):
-        """An explicit override equal to ``vm_engine`` is not an
-        override at all: the disk cache serves it."""
+        """An explicit override equal to another engine's ``vm_engine``
+        keys like that engine's own jobs: the disk cache serves it."""
         workload = get("197parser")
-        first = _engine(tmp_path, vm_engine="compiled")
+        first = _engine(tmp_path, vm_engine="interp")
         first.run(workload, "baseline")
 
         _forbid_execution(monkeypatch)
         second = _engine(tmp_path, vm_engine="compiled")
         second.run_request(JobRequest(workload, "baseline",
-                                      engine="compiled"))
+                                      engine="interp"))
         assert second.cache_hits == 1
 
 
 class TestEngineKeyedCache:
-    """``engine_keyed_cache=True`` (campaign/serve mode) partitions the
-    disk cache per VM engine: mixed-engine batches cache every cell,
-    and no cell can ever be served another engine's stored stats."""
+    """The disk cache is partitioned per VM engine: mixed-engine
+    batches cache every cell, and no cell can ever be served another
+    engine's stored stats."""
 
     def test_override_jobs_are_cached(self, tmp_path, monkeypatch):
-        """Unlike the engine-agnostic mode, an engine-keyed cache
-        persists overridden-engine jobs -- that is what makes a
+        """Overridden-engine jobs persist -- that is what makes a
         mixed-engine campaign shard resumable."""
         workload = get("197parser")
-        first = _engine(tmp_path, engine_keyed_cache=True)
+        first = _engine(tmp_path)
         first.run_request(JobRequest(workload, "baseline",
                                      engine="interp"))
         assert len(first.cache) == 1
 
         _forbid_execution(monkeypatch)
-        second = _engine(tmp_path, engine_keyed_cache=True)
+        second = _engine(tmp_path)
         result = second.run_request(JobRequest(workload, "baseline",
                                                engine="interp"))
         assert second.cache_hits == 1
@@ -460,11 +451,11 @@ class TestEngineKeyedCache:
         byte-identical job (the satellite-6 regression: mixed-engine
         campaign shards being served another engine's cached stats)."""
         workload = get("197parser")
-        first = _engine(tmp_path, engine_keyed_cache=True)
+        first = _engine(tmp_path)
         first.run_request(JobRequest(workload, "baseline",
                                      engine="compiled"))
 
-        second = _engine(tmp_path, engine_keyed_cache=True)
+        second = _engine(tmp_path)
         second.run_request(JobRequest(workload, "baseline",
                                       engine="interp"))
         assert second.cache_hits == 0
@@ -473,22 +464,23 @@ class TestEngineKeyedCache:
         assert len(second.cache) == 2
 
     def test_disk_keys_differ_only_by_engine(self):
-        engine = ExperimentEngine(engine_keyed_cache=True)
+        engine = ExperimentEngine()
         workload = get("197parser")
         payloads = [
             engine._payload(JobRequest(workload, "baseline", engine=tier))
-            for tier in ("compiled", "interp", "codegen")
+            for tier in ENGINES
         ]
-        disk_keys = [engine._disk_key(p) for p in payloads]
-        assert len(set(disk_keys)) == len(payloads)
-        # the engine-agnostic key ignores the engine field entirely
-        assert len({job_key(p) for p in payloads}) == 1
+        assert len({job_key(p) for p in payloads}) == len(payloads)
+        # with the engine field dropped, the payloads are one job
+        stripped = [{k: v for k, v in p.items() if k != "engine"}
+                    for p in payloads]
+        assert all(p == stripped[0] for p in stripped)
 
     def test_codegen_entries_keyed_apart(self, tmp_path, monkeypatch):
         """A codegen campaign shard stores and replays its own entries
         without ever touching the closure tier's."""
         workload = get("197parser")
-        first = _engine(tmp_path, engine_keyed_cache=True)
+        first = _engine(tmp_path)
         first.run_request(JobRequest(workload, "baseline",
                                      engine="compiled"))
         first.run_request(JobRequest(workload, "baseline",
@@ -497,7 +489,7 @@ class TestEngineKeyedCache:
         assert len(first.cache) == 2
 
         _forbid_execution(monkeypatch)
-        second = _engine(tmp_path, engine_keyed_cache=True)
+        second = _engine(tmp_path)
         result = second.run_request(JobRequest(workload, "baseline",
                                                engine="codegen"))
         assert second.cache_hits == 1
@@ -505,11 +497,11 @@ class TestEngineKeyedCache:
 
     def test_fingerprint_is_engine_qualified_and_mode_independent(self):
         """Campaign sharding hashes the fingerprint; it must not depend
-        on the local engine's cache mode or vm_engine default."""
+        on the local engine's vm_engine default."""
         workload = get("197parser")
         request = JobRequest(workload, "softbound", engine="interp")
-        keyed = ExperimentEngine(engine_keyed_cache=True)
-        agnostic = ExperimentEngine(vm_engine="compiled")
-        assert keyed.fingerprint(request) == agnostic.fingerprint(request)
+        compiled = ExperimentEngine(vm_engine="compiled")
+        codegen = ExperimentEngine(vm_engine="codegen")
+        assert compiled.fingerprint(request) == codegen.fingerprint(request)
         other = JobRequest(workload, "softbound", engine="compiled")
-        assert keyed.fingerprint(request) != keyed.fingerprint(other)
+        assert compiled.fingerprint(request) != compiled.fingerprint(other)

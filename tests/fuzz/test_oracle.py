@@ -62,9 +62,9 @@ class TestMatrices:
             DifferentialOracle(matrix="bogus")
 
     def test_cache_refused_for_multi_engine_matrix(self, tmp_path):
-        """The disk cache is engine-agnostic, so caching a two-engine
-        matrix would serve interp cells from compiled results and make
-        the engine comparison vacuous."""
+        """A cached result does not re-run the engine under test, so
+        caching a two-engine matrix would compare stored results
+        instead of executions and make the engine comparison vacuous."""
         cache = ResultCache(str(tmp_path))
         with pytest.raises(ConfigError, match="vacuous"):
             DifferentialOracle(matrix=FULL_MATRIX, cache=cache)

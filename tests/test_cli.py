@@ -83,6 +83,17 @@ class TestRun:
         assert main(["run", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_dump_codegen_requires_codegen_engine(self, demo_c, tmp_path,
+                                                  capsys):
+        dump = tmp_path / "dump"
+        assert main(["run", demo_c, "--dump-codegen", str(dump)]) == 2
+        assert "--dump-codegen requires --engine codegen" in \
+            capsys.readouterr().err
+        assert not dump.exists()
+        assert main(["run", demo_c, "--engine", "codegen",
+                     "--dump-codegen", str(dump)]) == 0
+        assert any(dump.iterdir())
+
     def test_unknown_mi_flag_rejected(self, demo_c, capsys):
         # a clean one-line diagnostic and exit code 2 -- no traceback,
         # no argparse usage dump

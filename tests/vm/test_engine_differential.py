@@ -4,9 +4,9 @@ The closure-compiled and codegen execution tiers promise
 *bit-identical* results to the reference tree-walker -- same program
 output, same exit status, same ``RuntimeStats`` field for field
 (``cycles``, ``instructions``, ``opcode_counts``, every check counter,
-``per_site``).  That contract is what lets cached experiment results
-replay under any engine without a cache-version bump, so it is
-enforced here over the full matrix: all 20 workloads under
+``per_site``).  That contract is what makes the engines
+interchangeable for every reported number, so it is enforced here
+over the full matrix: all 20 workloads under
 uninstrumented, SoftBound, and Low-Fat configurations, for each
 non-reference engine.
 

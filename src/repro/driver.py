@@ -214,6 +214,8 @@ def run_program(
         result.fault = fault
     except ProgramAbort as abort:
         result.abort = abort
+    finally:
+        vm.memory.release()
     return result
 
 

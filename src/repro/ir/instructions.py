@@ -19,10 +19,15 @@ and to mark accesses it has already handled.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
+import functools
+import math
+import struct
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, TYPE_CHECKING
 
+from ..errors import MemoryFault
 from .types import (
     ArrayType,
+    FloatType,
     FunctionType,
     IntType,
     PointerType,
@@ -31,6 +36,7 @@ from .types import (
     VoidType,
     I1,
     I64,
+    POINTER_BITS,
 )
 from .values import User, Value
 
@@ -285,29 +291,6 @@ FCMP_PREDICATES = {
     "ueq", "une", "ult", "ule", "ugt", "uge", "uno",
 }
 
-#: Evaluation of every fcmp predicate with IEEE-754/LLVM NaN semantics,
-#: shared by both execution engines and the constant folder.  Written
-#: with plain comparisons only: ``x < y`` / ``x > y`` are already false
-#: when either side is NaN, and ``x != x`` is the NaN test, so no
-#: ``math.isnan`` call is needed on the hot path.
-FCMP_EVAL = {
-    "oeq": lambda a, b: 1 if a == b else 0,
-    "ogt": lambda a, b: 1 if a > b else 0,
-    "oge": lambda a, b: 1 if a >= b else 0,
-    "olt": lambda a, b: 1 if a < b else 0,
-    "ole": lambda a, b: 1 if a <= b else 0,
-    "one": lambda a, b: 1 if (a < b or a > b) else 0,
-    "ord": lambda a, b: 1 if (a == a and b == b) else 0,
-    "ueq": lambda a, b: 0 if (a < b or a > b) else 1,
-    "ugt": lambda a, b: 0 if a <= b else 1,
-    "uge": lambda a, b: 0 if a < b else 1,
-    "ult": lambda a, b: 0 if a >= b else 1,
-    "ule": lambda a, b: 0 if a > b else 1,
-    "une": lambda a, b: 1 if a != b else 0,
-    "uno": lambda a, b: 1 if (a != a or b != b) else 0,
-}
-
-
 class ICmp(Instruction):
     opcode = "icmp"
 
@@ -365,6 +348,248 @@ class Cast(Instruction):
     @property
     def value(self) -> Value:
         return self.operand(0)
+
+
+# ---------------------------------------------------------------------
+# Scalar semantics
+# ---------------------------------------------------------------------
+#
+# The meaning of every binop, comparison and cast, defined once.  Each
+# entry is a Python expression template over the operands ``{a}`` and
+# ``{b}`` and the width constants ``{bits}``, ``{mask}`` and ``{half}``
+# (``half`` is the sign bit, so ``(x ^ half) - half`` is the signed
+# value of a canonical unsigned ``x``).  Every template is an atom or
+# fully parenthesized, so it embeds in any expression.  Ops that need a
+# statement call a helper from ``SCALAR_HELPERS``.
+#
+# Codegen inlines the templates; the closure tier and the constant
+# folder evaluate them through :func:`scalar_evaluator`; LICM reads
+# ``may_raise``.  The tree-walker keeps its own hand-written copy as
+# the independent reference.
+
+
+class ScalarOp(NamedTuple):
+    """One scalar op: its expression template, and whether evaluating
+    it can raise (a modelled trap such as integer division by zero)."""
+
+    template: str
+    may_raise: bool = False
+
+
+def _sdiv(x: int, y: int, half: int, mask: int) -> int:
+    # A compare per operand is cheaper here than ``(x ^ half) - half``.
+    if x >= half:
+        x -= mask + 1
+    if y >= half:
+        y -= mask + 1
+    if not y:
+        raise MemoryFault(0, 0, "integer division by zero")
+    q = abs(x) // abs(y)  # C division truncates toward zero
+    return (q if (x < 0) == (y < 0) else -q) & mask
+
+
+def _srem(x: int, y: int, half: int, mask: int) -> int:
+    if x >= half:
+        x -= mask + 1
+    if y >= half:
+        y -= mask + 1
+    if not y:
+        raise MemoryFault(0, 0, "integer division by zero")
+    r = abs(x) % abs(y)  # the remainder takes the dividend's sign
+    return (r if x >= 0 else -r) & mask
+
+
+def _udiv(x: int, y: int, mask: int) -> int:
+    if not y:
+        raise MemoryFault(0, 0, "integer division by zero")
+    return (x // y) & mask
+
+
+def _urem(x: int, y: int, mask: int) -> int:
+    if not y:
+        raise MemoryFault(0, 0, "integer division by zero")
+    return (x % y) & mask
+
+
+def _fdiv_zero(x: float, y: float) -> float:
+    """IEEE 754 ``x / ±0.0``: NaN for 0/0 and NaN/0, otherwise an
+    infinity signed by both operands."""
+    if x != x or not x:
+        return math.nan
+    return math.copysign(math.inf, x) * math.copysign(1.0, y)
+
+
+def _frem(x: float, y: float) -> float:
+    """C ``fmod``: NaN for an infinite or NaN dividend and for a zero
+    or NaN divisor."""
+    if y and x - x == 0.0:
+        return math.fmod(x, y)
+    return math.nan
+
+
+def _fptoi_trap() -> int:
+    raise MemoryFault(0, 0, "float-to-integer conversion of a non-finite value")
+
+
+def _bits_to_float(x: int, bits: int) -> float:
+    return struct.unpack("<f" if bits == 32 else "<d",
+                         x.to_bytes(bits // 8, "little"))[0]
+
+
+def _float_to_bits(x: float, bits: int) -> int:
+    return int.from_bytes(struct.pack("<f" if bits == 32 else "<d", x),
+                          "little")
+
+
+#: Names the templates call; generated code binds them in its namespace.
+SCALAR_HELPERS: Dict[str, Callable] = {
+    "_sdiv": _sdiv, "_srem": _srem, "_udiv": _udiv, "_urem": _urem,
+    "_fdiv_zero": _fdiv_zero, "_frem": _frem, "_fptoi_trap": _fptoi_trap,
+    "_bits_to_float": _bits_to_float, "_float_to_bits": _float_to_bits,
+}
+
+INT_BINOP_SEMANTICS: Dict[str, ScalarOp] = {
+    "add": ScalarOp("(({a} + {b}) & {mask})"),
+    "sub": ScalarOp("(({a} - {b}) & {mask})"),
+    "mul": ScalarOp("(({a} * {b}) & {mask})"),
+    "and": ScalarOp("({a} & {b})"),
+    "or": ScalarOp("({a} | {b})"),
+    "xor": ScalarOp("({a} ^ {b})"),
+    "shl": ScalarOp("(({a} << ({b} % {bits})) & {mask})"),
+    "lshr": ScalarOp("({a} >> ({b} % {bits}))"),
+    "ashr": ScalarOp("(((({a} ^ {half}) - {half}) >> ({b} % {bits})) & {mask})"),
+    "sdiv": ScalarOp("_sdiv({a}, {b}, {half}, {mask})", True),
+    "srem": ScalarOp("_srem({a}, {b}, {half}, {mask})", True),
+    "udiv": ScalarOp("_udiv({a}, {b}, {mask})", True),
+    "urem": ScalarOp("_urem({a}, {b}, {mask})", True),
+}
+
+FLOAT_BINOP_SEMANTICS: Dict[str, ScalarOp] = {
+    "fadd": ScalarOp("({a} + {b})"),
+    "fsub": ScalarOp("({a} - {b})"),
+    "fmul": ScalarOp("({a} * {b})"),
+    "fdiv": ScalarOp("({a} / {b} if {b} else _fdiv_zero({a}, {b}))"),
+    "frem": ScalarOp("_frem({a}, {b})"),
+}
+
+#: Comparisons all have the shape ``(1 if C else 0)``.
+ICMP_SEMANTICS: Dict[str, ScalarOp] = {
+    "eq": ScalarOp("(1 if {a} == {b} else 0)"),
+    "ne": ScalarOp("(1 if {a} != {b} else 0)"),
+    "ult": ScalarOp("(1 if {a} < {b} else 0)"),
+    "ule": ScalarOp("(1 if {a} <= {b} else 0)"),
+    "ugt": ScalarOp("(1 if {a} > {b} else 0)"),
+    "uge": ScalarOp("(1 if {a} >= {b} else 0)"),
+    "slt": ScalarOp("(1 if ({a} ^ {half}) < ({b} ^ {half}) else 0)"),
+    "sle": ScalarOp("(1 if ({a} ^ {half}) <= ({b} ^ {half}) else 0)"),
+    "sgt": ScalarOp("(1 if ({a} ^ {half}) > ({b} ^ {half}) else 0)"),
+    "sge": ScalarOp("(1 if ({a} ^ {half}) >= ({b} ^ {half}) else 0)"),
+}
+
+#: IEEE-754/LLVM NaN semantics with plain comparisons: ``<``/``>`` are
+#: already false on NaN, and ``x != x`` is the NaN test.
+FCMP_SEMANTICS: Dict[str, ScalarOp] = {
+    "oeq": ScalarOp("(1 if {a} == {b} else 0)"),
+    "ogt": ScalarOp("(1 if {a} > {b} else 0)"),
+    "oge": ScalarOp("(1 if {a} >= {b} else 0)"),
+    "olt": ScalarOp("(1 if {a} < {b} else 0)"),
+    "ole": ScalarOp("(1 if {a} <= {b} else 0)"),
+    "one": ScalarOp("(1 if ({a} < {b} or {a} > {b}) else 0)"),
+    "ord": ScalarOp("(1 if ({a} == {a} and {b} == {b}) else 0)"),
+    "ueq": ScalarOp("(1 if not ({a} < {b} or {a} > {b}) else 0)"),
+    "ugt": ScalarOp("(1 if not {a} <= {b} else 0)"),
+    "uge": ScalarOp("(1 if not {a} < {b} else 0)"),
+    "ult": ScalarOp("(1 if not {a} >= {b} else 0)"),
+    "ule": ScalarOp("(1 if not {a} > {b} else 0)"),
+    "une": ScalarOp("(1 if {a} != {b} else 0)"),
+    "uno": ScalarOp("(1 if ({a} != {a} or {b} != {b}) else 0)"),
+}
+
+_FPTOI = ScalarOp("(int({a}) & {mask} if {a} - {a} == 0.0 else _fptoi_trap())",
+                  True)
+
+#: Casts take ``bits``/``half`` from the source type and ``mask`` from
+#: the destination type.  ``{a}`` alone is the identity.
+CAST_SEMANTICS: Dict[str, ScalarOp] = {
+    "trunc": ScalarOp("({a} & {mask})"),
+    "zext": ScalarOp("{a}"),
+    "sext": ScalarOp("((({a} ^ {half}) - {half}) & {mask})"),
+    "fptrunc": ScalarOp("float({a})"),
+    "fpext": ScalarOp("float({a})"),
+    "fptosi": _FPTOI,
+    "fptoui": _FPTOI,
+    "sitofp": ScalarOp("float(({a} ^ {half}) - {half})"),
+    "uitofp": ScalarOp("float({a})"),
+    "ptrtoint": ScalarOp("({a} & {mask})"),
+    "inttoptr": ScalarOp("({a} & {mask})"),
+    "bitcast": ScalarOp("{a}"),
+}
+_BITCAST_INT_TO_FLOAT = ScalarOp("_bits_to_float({a}, {bits})")
+_BITCAST_FLOAT_TO_INT = ScalarOp("_float_to_bits({a}, {bits})")
+
+
+def _width(ty: Type) -> int:
+    return ty.bits if isinstance(ty, (IntType, FloatType)) else POINTER_BITS
+
+
+@functools.lru_cache(maxsize=None)
+def _instantiate(op: ScalarOp, bits: int, mask_bits: int) -> ScalarOp:
+    """``op`` with its width constants filled in; operands stay open."""
+    return op._replace(template=op.template.format(
+        a="{a}", b="{b}", bits=bits, mask=(1 << mask_bits) - 1,
+        half=1 << (bits - 1)))
+
+
+def binop_semantics(op: str, ty: Type) -> Optional[ScalarOp]:
+    table = FLOAT_BINOP_SEMANTICS if isinstance(ty, FloatType) else INT_BINOP_SEMANTICS
+    entry = table.get(op)
+    return None if entry is None else _instantiate(entry, _width(ty), _width(ty))
+
+
+def icmp_semantics(pred: str, ty: Type) -> ScalarOp:
+    return _instantiate(ICMP_SEMANTICS[pred], _width(ty), _width(ty))
+
+
+def cast_semantics(op: str, src: Type, dst: Type) -> ScalarOp:
+    entry = CAST_SEMANTICS[op]
+    if op == "bitcast":
+        if isinstance(src, IntType) and isinstance(dst, FloatType):
+            entry = _BITCAST_INT_TO_FLOAT
+        elif isinstance(src, FloatType) and isinstance(dst, IntType):
+            entry = _BITCAST_FLOAT_TO_INT
+    return _instantiate(entry, _width(src), _width(dst))
+
+
+def semantics_of(inst: Instruction) -> Optional[ScalarOp]:
+    """The table entry of a binop, comparison or cast with its widths
+    filled in; None for any other instruction (or an op its type has
+    no entry for)."""
+    if isinstance(inst, BinOp):
+        return binop_semantics(inst.opcode, inst.type)
+    if isinstance(inst, ICmp):
+        return icmp_semantics(inst.predicate, inst.lhs.type)
+    if isinstance(inst, FCmp):
+        return FCMP_SEMANTICS[inst.predicate]
+    if isinstance(inst, Cast):
+        return cast_semantics(inst.opcode, inst.value.type, inst.type)
+    return None
+
+
+_EVAL_GLOBALS = dict(SCALAR_HELPERS)
+
+
+@functools.lru_cache(maxsize=None)
+def scalar_evaluator(op: ScalarOp) -> Callable:
+    """``op`` (widths filled in) as a Python function of its operands,
+    compiled once per distinct text."""
+    params = "a, b" if "{b}" in op.template else "a"
+    return eval(f"lambda {params}: " + op.template.format(a="a", b="b"),
+                _EVAL_GLOBALS)
+
+
+#: Every fcmp predicate as a function of its two operands.
+FCMP_EVAL: Dict[str, Callable] = {
+    pred: scalar_evaluator(op) for pred, op in FCMP_SEMANTICS.items()}
 
 
 # ---------------------------------------------------------------------

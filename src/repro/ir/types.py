@@ -25,6 +25,8 @@ from typing import List, Optional, Sequence, Tuple
 
 POINTER_SIZE = 8
 POINTER_BITS = 64
+#: Value range of a pointer (and of every address computation).
+U64_MASK = (1 << POINTER_BITS) - 1
 
 
 class Type:

@@ -54,7 +54,8 @@ def _value_key(value: Value):
     if isinstance(value, ConstantInt):
         return ("ci", str(value.type), value.value)
     if isinstance(value, ConstantFloat):
-        return ("cf", str(value.type), value.value)
+        # By bit pattern: 0.0 == -0.0, yet the two are different constants.
+        return ("cf", str(value.type), value.value.hex())
     if isinstance(value, ConstantNull):
         return ("null", str(value.type))
     if isinstance(value, UndefValue):

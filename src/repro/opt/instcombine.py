@@ -5,15 +5,16 @@ covering the folds the workloads actually produce: constant arithmetic,
 algebraic identities, cast round-trips (including ``ptrtoint`` /
 ``inttoptr`` pairs -- which is how an optimizer *introduces or removes*
 the casts that trouble SoftBound, cf. paper Section 4.4), comparison
-folds, and select-on-constant.
+folds, and select-on-constant.  Constant folds evaluate the shared
+scalar-semantics table (:mod:`repro.ir.instructions`), so a folded
+value is exactly what every engine computes at run time.
 """
 
 from __future__ import annotations
 
-import math
-import struct as _struct
 from typing import Optional
 
+from ..errors import MemoryFault
 from ..ir.instructions import (
     BinOp,
     Cast,
@@ -22,64 +23,33 @@ from ..ir.instructions import (
     ICmp,
     Instruction,
     Select,
+    scalar_evaluator,
+    semantics_of,
 )
-from ..ir.types import FloatType, IntType, PointerType
+from ..ir.types import I1, FloatType, IntType, PointerType
 from ..ir.values import ConstantFloat, ConstantInt, ConstantNull, UndefValue, Value
 from ..ir.module import Function
 from .pass_manager import FunctionPass
 
-
-def _to_signed(value: int, bits: int) -> int:
-    if value >= 1 << (bits - 1):
-        return value - (1 << bits)
-    return value
-
-
-def fold_int_binop(op: str, lhs: int, rhs: int, bits: int) -> Optional[int]:
-    mask = (1 << bits) - 1
-    if op == "add":
-        return (lhs + rhs) & mask
-    if op == "sub":
-        return (lhs - rhs) & mask
-    if op == "mul":
-        return (lhs * rhs) & mask
-    if op == "and":
-        return lhs & rhs
-    if op == "or":
-        return lhs | rhs
-    if op == "xor":
-        return lhs ^ rhs
-    if op == "shl":
-        return (lhs << (rhs % bits)) & mask
-    if op == "lshr":
-        return lhs >> (rhs % bits)
-    if op == "ashr":
-        return (_to_signed(lhs, bits) >> (rhs % bits)) & mask
-    if op in ("sdiv", "srem"):
-        a, b = _to_signed(lhs, bits), _to_signed(rhs, bits)
-        if b == 0:
-            return None
-        q = abs(a) // abs(b)
-        if (a < 0) != (b < 0):
-            q = -q
-        return (q if op == "sdiv" else a - q * b) & mask
-    if op in ("udiv", "urem"):
-        if rhs == 0:
-            return None
-        return (lhs // rhs if op == "udiv" else lhs % rhs) & mask
-    return None
+#: Casts folded on a constant operand, by operand kind; the others are
+#: left to the runtime (or to the structural folds below).
+_FOLDED_CASTS = {
+    ConstantInt: ("trunc", "zext", "sext", "sitofp", "uitofp"),
+    ConstantFloat: ("fpext", "fptrunc", "fptosi"),
+}
 
 
-def fold_icmp(pred: str, lhs: int, rhs: int, bits: int) -> int:
-    if pred in ("slt", "sle", "sgt", "sge"):
-        lhs, rhs = _to_signed(lhs, bits), _to_signed(rhs, bits)
-    return int({
-        "eq": lhs == rhs, "ne": lhs != rhs,
-        "slt": lhs < rhs, "sle": lhs <= rhs,
-        "sgt": lhs > rhs, "sge": lhs >= rhs,
-        "ult": lhs < rhs, "ule": lhs <= rhs,
-        "ugt": lhs > rhs, "uge": lhs >= rhs,
-    }[pred])
+def _fold(inst: Instruction, *values):
+    """Evaluate ``inst`` on constant operand values with the shared
+    semantics table, so folding agrees with every engine; None when the
+    evaluation raises (a trap stays with the runtime)."""
+    sem = semantics_of(inst)
+    if sem is None:
+        return None
+    try:
+        return scalar_evaluator(sem)(*values)
+    except MemoryFault:
+        return None
 
 
 class InstCombine(FunctionPass):
@@ -132,10 +102,8 @@ class InstCombine(FunctionPass):
         ty = inst.type
         if isinstance(ty, IntType):
             if isinstance(lhs, ConstantInt) and isinstance(rhs, ConstantInt):
-                folded = fold_int_binop(inst.opcode, lhs.value, rhs.value, ty.bits)
-                if folded is not None:
-                    return ConstantInt(ty, folded)
-                return None
+                folded = _fold(inst, lhs.value, rhs.value)
+                return None if folded is None else ConstantInt(ty, folded)
             # Canonicalize constants to the right for commutative ops.
             if isinstance(lhs, ConstantInt) and inst.opcode in (
                 "add", "mul", "and", "or", "xor"
@@ -161,26 +129,14 @@ class InstCombine(FunctionPass):
             return None
         if isinstance(ty, FloatType):
             if isinstance(lhs, ConstantFloat) and isinstance(rhs, ConstantFloat):
-                try:
-                    value = {
-                        "fadd": lhs.value + rhs.value,
-                        "fsub": lhs.value - rhs.value,
-                        "fmul": lhs.value * rhs.value,
-                        "fdiv": lhs.value / rhs.value if rhs.value else math.inf,
-                        "frem": math.fmod(lhs.value, rhs.value) if rhs.value else math.nan,
-                    }[inst.opcode]
-                except (OverflowError, ValueError):
-                    return None
-                return ConstantFloat(ty, value)
+                folded = _fold(inst, lhs.value, rhs.value)
+                return None if folded is None else ConstantFloat(ty, folded)
         return None
 
     def _simplify_icmp(self, inst: ICmp) -> Optional[Value]:
         lhs, rhs = inst.lhs, inst.rhs
-        from ..ir.types import I1
-
         if isinstance(lhs, ConstantInt) and isinstance(rhs, ConstantInt):
-            bits = lhs.type.bits if isinstance(lhs.type, IntType) else 64
-            return ConstantInt(I1, fold_icmp(inst.predicate, lhs.value, rhs.value, bits))
+            return ConstantInt(I1, _fold(inst, lhs.value, rhs.value))
         if lhs is rhs:
             return ConstantInt(I1, int(inst.predicate in ("eq", "sle", "sge", "ule", "uge")))
         if isinstance(lhs, ConstantNull) and isinstance(rhs, ConstantNull):
@@ -189,14 +145,8 @@ class InstCombine(FunctionPass):
 
     def _simplify_fcmp(self, inst: FCmp) -> Optional[Value]:
         lhs, rhs = inst.lhs, inst.rhs
-        from ..ir.instructions import FCMP_EVAL
-        from ..ir.types import I1
-
         if isinstance(lhs, ConstantFloat) and isinstance(rhs, ConstantFloat):
-            # FCMP_EVAL carries the full 14-predicate table with LLVM's
-            # ordered/unordered NaN semantics, so folding agrees with
-            # what either execution engine would compute at runtime.
-            return ConstantInt(I1, FCMP_EVAL[inst.predicate](lhs.value, rhs.value))
+            return ConstantInt(I1, _fold(inst, lhs.value, rhs.value))
         return None
 
     def _simplify_cast(self, inst: Cast) -> Optional[Value]:
@@ -206,27 +156,15 @@ class InstCombine(FunctionPass):
         if src_ty == dst_ty and op in ("bitcast", "zext", "sext", "trunc",
                                        "fpext", "fptrunc"):
             return value
+        if op in _FOLDED_CASTS.get(type(value), ()):
+            folded = _fold(inst, value.value)
+            if isinstance(dst_ty, IntType) and isinstance(folded, int):
+                return ConstantInt(dst_ty, folded)
+            if isinstance(dst_ty, FloatType) and isinstance(folded, float):
+                return ConstantFloat(dst_ty, folded)
         if isinstance(value, ConstantInt):
-            if op == "trunc" and isinstance(dst_ty, IntType):
-                return ConstantInt(dst_ty, value.value)
-            if op == "zext" and isinstance(dst_ty, IntType):
-                return ConstantInt(dst_ty, value.value)
-            if op == "sext" and isinstance(dst_ty, IntType):
-                return ConstantInt(dst_ty, value.signed_value)
-            if op == "sitofp" and isinstance(dst_ty, FloatType):
-                return ConstantFloat(dst_ty, float(value.signed_value))
-            if op == "uitofp" and isinstance(dst_ty, FloatType):
-                return ConstantFloat(dst_ty, float(value.value))
             if op == "inttoptr" and value.value == 0 and isinstance(dst_ty, PointerType):
                 return ConstantNull(dst_ty)
-        if isinstance(value, ConstantFloat):
-            if op in ("fpext", "fptrunc") and isinstance(dst_ty, FloatType):
-                return ConstantFloat(dst_ty, value.value)
-            if op == "fptosi" and isinstance(dst_ty, IntType):
-                # int(NaN)/int(inf) raise; leave non-finite conversions
-                # to the runtime rather than crashing the compiler.
-                if math.isfinite(value.value):
-                    return ConstantInt(dst_ty, int(value.value))
         if isinstance(value, ConstantNull):
             if op == "bitcast" and isinstance(dst_ty, PointerType):
                 return ConstantNull(dst_ty)

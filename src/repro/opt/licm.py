@@ -4,7 +4,9 @@ Hoists loop-invariant computations into the loop preheader:
 
 * *speculatable* instructions (arithmetic, geps, casts, compares,
   selects and ``readnone`` calls) are hoisted whenever their operands
-  are loop-invariant;
+  are loop-invariant -- except ops the scalar-semantics table marks
+  ``may_raise`` (integer division, ``fptosi``/``fptoui``), which must
+  also be guaranteed to execute;
 * *loads* (and ``readonly`` calls, e.g. SoftBound trie lookups) are
   hoisted only when (a) nothing in the loop may write memory, (b) the
   instruction is guaranteed to execute (its block dominates all loop
@@ -38,6 +40,7 @@ from ..ir.instructions import (
     Phi,
     Select,
     Store,
+    semantics_of,
 )
 from ..ir.module import BasicBlock, Function
 from ..ir.values import Value
@@ -130,10 +133,10 @@ class LICM(FunctionPass):
         loop_has_abort: bool,
     ) -> bool:
         if isinstance(inst, (BinOp, GEP, ICmp, FCmp, Cast, Select)):
-            if isinstance(inst, BinOp) and inst.opcode in (
-                "sdiv", "udiv", "srem", "urem",
-            ):
-                # Division can trap; require guaranteed execution.
+            sem = semantics_of(inst)
+            if sem is not None and sem.may_raise:
+                # Division by zero and fptosi of NaN/inf trap: never
+                # speculate them, require guaranteed execution.
                 return self._guaranteed(inst, domtree, exits)
             return True
         if isinstance(inst, Call):

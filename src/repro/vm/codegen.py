@@ -15,10 +15,11 @@ closures over frame-slot lists:
   execute without any dispatch at all;
 * phi moves become per-edge tuple assignments
   (``v3, v7 = <e1>, <e2>``), which are parallel by construction;
-* icmp/fcmp/binops/casts/GEPs are inlined as expressions, with
-  branch-free sign correction (``(x ^ half) - half``) instead of
-  per-value ``if`` closures, and single-use pure values fused
-  textually into their consumer;
+* icmp/fcmp/binops/casts are inlined from the expression templates of
+  the shared scalar-semantics table (:mod:`repro.ir.instructions`),
+  GEPs as address arithmetic, with branch-free sign correction
+  (``(x ^ half) - half``), and single-use pure values fused textually
+  into their consumer;
 * loads/stores keep the closure tier's per-site inline cache, as
   module-level cache variables validated against ``Memory.epoch``;
 * cycle/opcode charges are block-batched into plain *local*
@@ -56,7 +57,6 @@ case and records the reason (see ``VirtualMachine.call_function``).
 from __future__ import annotations
 
 import bisect
-import math
 import os
 import re
 import struct
@@ -70,7 +70,6 @@ from ..ir.instructions import (
     Call,
     Cast,
     CondBr,
-    FCMP_EVAL,
     FCmp,
     GEP,
     ICmp,
@@ -78,9 +77,12 @@ from ..ir.instructions import (
     Load,
     Phi,
     Ret,
+    SCALAR_HELPERS,
     Select,
     Store,
     Unreachable,
+    scalar_evaluator,
+    semantics_of,
 )
 from ..ir.module import BasicBlock, Function, GlobalVariable
 from ..ir.types import (
@@ -89,6 +91,7 @@ from ..ir.types import (
     IntType,
     PointerType,
     StructType,
+    U64_MASK,
     VoidType,
     size_of,
     struct_field_offset,
@@ -103,13 +106,10 @@ from ..ir.values import (
     Value,
 )
 from . import costs
-from .compile import _DIV_OPS, _PURE_CASTS, _FunctionCompiler
 from .memory import SparsePages
 
 if TYPE_CHECKING:  # pragma: no cover
     from .interpreter import VirtualMachine
-
-U64_MASK = (1 << 64) - 1
 
 #: Cap on textual fusion depth: bounds parenthesis nesting so the
 #: CPython parser never sees pathologically deep expressions.  Fusion
@@ -123,23 +123,6 @@ _MAX_INLINE_DEPTH = 36
 _BUDGET_CHECK = "if __ins > __maxi:"
 _BUDGET_RAISE = (
     '    raise __VMError("instruction budget exceeded (infinite loop?)")')
-
-_ICMP_SYM = {
-    "eq": "==", "ne": "!=",
-    "ult": "<", "ule": "<=", "ugt": ">", "uge": ">=",
-    "slt": "<", "sle": "<=", "sgt": ">", "sge": ">=",
-}
-_ICMP_SIGNED = frozenset(("slt", "sle", "sgt", "sge"))
-
-#: fcmp predicates whose NaN behaviour Python operators reproduce
-#: directly: ordered comparisons are False on NaN (as every Python
-#: comparison is), ``une`` is unordered-or-ne and ``!=`` is True on
-#: NaN.  The remaining eight go through the shared FCMP_EVAL table.
-_FCMP_SYM = {
-    "oeq": "==", "ogt": ">", "oge": ">=", "olt": "<", "ole": "<=",
-    "une": "!=",
-}
-
 
 def _env_signature(vm: "VirtualMachine") -> Tuple:
     """Everything the emitter consults on the VM that can change the
@@ -319,9 +302,7 @@ class _SourceEmitter:
             "__lf8": struct.Struct("<d").unpack_from,
             "__sf4": struct.Struct("<f").pack_into,
             "__sf8": struct.Struct("<d").pack_into,
-            "__fmod": math.fmod,
-            "__INF": float("inf"),
-            "__NAN": float("nan"),
+            **SCALAR_HELPERS,
         }
         # Per-block compile state.
         self._pending: Dict[Value, Tuple] = {}
@@ -677,7 +658,7 @@ class _SourceEmitter:
             self._compile_store(inst)
         elif cls is BinOp:
             self._charge(inst.opcode, costs.INSTRUCTION_COSTS[inst.opcode])
-            self._compile_binop(inst)
+            self._compile_scalar(inst, self._operands(inst))
         elif cls is GEP:
             self._charge("gep", 1)
             self._compile_gep(inst)
@@ -686,10 +667,10 @@ class _SourceEmitter:
             self._compile_icmp(inst)
         elif cls is FCmp:
             self._charge("fcmp", 2)
-            self._compile_fcmp(inst)
+            self._compile_scalar(inst, self._operands(inst))
         elif cls is Cast:
             self._charge(inst.opcode, costs.INSTRUCTION_COSTS[inst.opcode])
-            self._compile_cast(inst)
+            self._compile_scalar(inst, self._operands(inst))
         elif cls is Select:
             self._charge("select", 1)
             self._compile_select(inst)
@@ -716,103 +697,51 @@ class _SourceEmitter:
             self._step([f"raise {name}"], raising=True)
 
     # -- arithmetic / comparisons / casts ------------------------------
-    def _compile_binop(self, inst: BinOp) -> None:
-        op = inst.opcode
-        a = self._operand(inst.lhs)
-        b = self._operand(inst.rhs)
-        ty = inst.type
-        if isinstance(ty, FloatType):
-            if op in ("fadd", "fsub", "fmul", "fdiv", "frem"):
-                self._compile_fbinop(inst, op, a, b)
-            else:
-                name = self._bind(VMError(f"int binop {op}"))
-                self._step([f"raise {name}"], raising=True)
-            return
-        assert isinstance(ty, IntType)
-        bits, mask = ty.bits, ty.mask
-        if op in _DIV_OPS:
-            # Division traps on zero -- always a standalone raising
-            # statement, never fused or const-folded.
-            f = _FunctionCompiler._int_binop_fn(op, bits, mask)
-            name = self._bind(f)
-            self._step(
-                [f"v{self.slots[inst]} = "
-                 f"{name}({self._expr(a)}, {self._expr(b)})"],
-                raising=True)
-            return
-        if a[0] == "c" and b[0] == "c":
-            f = _FunctionCompiler._int_binop_fn(op, bits, mask)
-            if f is None:
-                name = self._bind(VMError(f"int binop {op}"))
-                self._step([f"raise {name}"], raising=True)
-                return
-            self._sink_value(inst, ("c", f(a[1], b[1])), (a, b))
-            return
-        ae, be = self._expr(a), self._expr(b)
-        d = max(self._depth(a), self._depth(b)) + 1
-        if op == "add":
-            e = f"(({ae} + {be}) & {mask})"
-        elif op == "sub":
-            e = f"(({ae} - {be}) & {mask})"
-        elif op == "mul":
-            e = f"(({ae} * {be}) & {mask})"
-        elif op == "and":
-            e = f"({ae} & {be})"
-        elif op == "or":
-            e = f"({ae} | {be})"
-        elif op == "xor":
-            e = f"({ae} ^ {be})"
-        elif op == "shl":
-            e = f"(({ae} << ({be} % {bits})) & {mask})"
-        elif op == "lshr":
-            e = f"({ae} >> ({be} % {bits}))"
-        elif op == "ashr":
-            half = 1 << (bits - 1)
-            e = (f"(((({ae} ^ {half}) - {half}) >> ({be} % {bits}))"
-                 f" & {mask})")
-        else:
-            name = self._bind(VMError(f"int binop {op}"))
+    def _operands(self, inst: Instruction) -> List[Tuple]:
+        return [self._operand(v) for v in inst.operands]
+
+    def _compile_scalar(self, inst: Instruction, operands: List[Tuple]) -> None:
+        """Inline a binop, comparison or cast from the shared semantics
+        table.  Constant operands fold; an op that may raise is a
+        standalone statement with exact charge rollback.  When the
+        template reads a compound operand more than once, every
+        compound operand is first evaluated into a temporary, in
+        operand order, and the result is materialized."""
+        sem = semantics_of(inst)
+        if sem is None:
+            name = self._bind(VMError(f"int binop {inst.opcode}"))
             self._step([f"raise {name}"], raising=True)
             return
-        self._sink_value(inst, ("p", e, d), (a, b))
-
-    def _compile_fbinop(self, inst: BinOp, op: str, a: Tuple, b: Tuple) -> None:
-        if a[0] == "c" and b[0] == "c":
-            f = _FunctionCompiler._float_binop_fn(op)
-            self._sink_value(inst, ("c", f(a[1], b[1])), (a, b))
+        template = sem.template
+        if template == "{a}":
+            self._sink_value(inst, operands[0], operands)
             return
-        ae, be = self._expr(a), self._expr(b)
-        d = max(self._depth(a), self._depth(b)) + 1
-        if op in ("fadd", "fsub", "fmul"):
-            sym = {"fadd": "+", "fsub": "-", "fmul": "*"}[op]
-            self._sink_value(inst, ("p", f"({ae} {sym} {be})", d), (a, b))
+        if not sem.may_raise and all(d[0] == "c" for d in operands):
+            value = scalar_evaluator(sem)(*(d[1] for d in operands))
+            self._sink_value(inst, ("c", value), operands)
             return
-        # fdiv -> inf on /0, frem -> nan on /0; the divisor appears
-        # twice in the guarded expression, so only atoms are embedded
-        # directly -- compound divisors evaluate once into temporaries
-        # (operand order preserved: lhs before rhs).
-        if op == "fdiv":
-            def make(x, y):
-                return f"(({x} / {y}) if {y} != 0.0 else __INF)"
-        else:
-            def make(x, y):
-                return f"(__fmod({x}, {y}) if {y} != 0.0 else __NAN)"
-        if b[0] in ("s", "c"):
-            self._sink_value(inst, ("p", make(ae, be), d), (a, b))
+        names = ("a", "b")
+        reread = any(d[0] not in ("s", "c") and template.count(f"{{{n}}}") > 1
+                     for n, d in zip(names, operands))
+        lines: List[str] = []
+        exprs: Dict[str, str] = {}
+        for n, d, tmp in zip(names, operands, ("__x", "__y")):
+            if reread and d[0] not in ("s", "c"):
+                lines.append(f"{tmp} = {self._expr(d)}")
+                exprs[n] = tmp
+            else:
+                exprs[n] = self._expr(d)
+        e = template.format(**exprs)
+        if lines or sem.may_raise:
+            self._step(lines + [f"v{self.slots[inst]} = {e}"],
+                       raising=sem.may_raise)
             return
-        self._step([
-            f"__x = {ae}",
-            f"__y = {be}",
-            f"v{self.slots[inst]} = {make('__x', '__y')}",
-        ])
+        d = max(self._depth(x) for x in operands) + 1
+        self._sink_value(inst, ("p", e, d), operands)
 
     def _compile_icmp(self, inst: ICmp) -> None:
         a = self._operand(inst.lhs)
         b = self._operand(inst.rhs)
-        if a[0] == "c" and b[0] == "c":
-            f = _FunctionCompiler._icmp_fn(inst)
-            self._sink_value(inst, ("c", f(a[1], b[1])), (a, b))
-            return
         pred = inst.predicate
         # Flag-recompare peephole: ``icmp ne/eq (flag), 0`` of an
         # already-0/1 inlined comparison passes the flag through (or
@@ -828,94 +757,7 @@ class _SourceEmitter:
                     inst, ("p", f"(0 if {inner} else 1)", self._depth(a)),
                     (a, b))
                 return
-        ae, be = self._expr(a), self._expr(b)
-        d = max(self._depth(a), self._depth(b)) + 1
-        sym = _ICMP_SYM[pred]
-        if pred in _ICMP_SIGNED:
-            # Branch-free signed compare: signed(x) < signed(y) iff
-            # (x ^ half) <u (y ^ half) -- one XOR per operand instead
-            # of two compare-and-subtract branches.
-            ty = inst.lhs.type
-            bits = ty.bits if isinstance(ty, IntType) else 64
-            half = 1 << (bits - 1)
-            e = f"(1 if ({ae} ^ {half}) {sym} ({be} ^ {half}) else 0)"
-        else:
-            e = f"(1 if {ae} {sym} {be} else 0)"
-        self._sink_value(inst, ("p", e, d), (a, b))
-
-    def _compile_fcmp(self, inst: FCmp) -> None:
-        a = self._operand(inst.lhs)
-        b = self._operand(inst.rhs)
-        pred = inst.predicate
-        if a[0] == "c" and b[0] == "c":
-            self._sink_value(
-                inst, ("c", FCMP_EVAL[pred](a[1], b[1])), (a, b))
-            return
-        ae, be = self._expr(a), self._expr(b)
-        d = max(self._depth(a), self._depth(b)) + 1
-        sym = _FCMP_SYM.get(pred)
-        if sym is not None:
-            e = f"(1 if {ae} {sym} {be} else 0)"
-        else:
-            name = self._bind(FCMP_EVAL[pred])
-            e = f"{name}({ae}, {be})"
-        self._sink_value(inst, ("p", e, d), (a, b))
-
-    def _compile_cast(self, inst: Cast) -> None:
-        op = inst.opcode
-        src_ty = inst.value.type
-        dst_ty = inst.type
-        v = self._operand(inst.value)
-        ve = self._expr(v)
-        d = self._depth(v) + 1
-        if op in ("fptosi", "fptoui"):
-            # int(NaN/inf) raises -- standalone statement with exact
-            # charge rollback.
-            assert isinstance(dst_ty, IntType)
-            self._step(
-                [f"v{self.slots[inst]} = (int({ve}) & {dst_ty.mask})"],
-                raising=True)
-            return
-        if v[0] == "c" and op in _PURE_CASTS:
-            f = _FunctionCompiler._cast_fn(op, src_ty, dst_ty)
-            if f is None:
-                self._sink_value(inst, v, (v,))
-            else:
-                self._sink_value(inst, ("c", f(v[1])), (v,))
-            return
-        if op == "trunc":
-            desc = ("p", f"({ve} & {dst_ty.mask})", d)
-        elif op == "zext":
-            self._sink_value(inst, v, (v,))
-            return
-        elif op == "sext":
-            half = 1 << (src_ty.bits - 1)
-            desc = ("p", f"((({ve} ^ {half}) - {half}) & {dst_ty.mask})", d)
-        elif op == "ptrtoint":
-            mask = dst_ty.mask if isinstance(dst_ty, IntType) else U64_MASK
-            desc = ("p", f"({ve} & {mask})", d)
-        elif op == "inttoptr":
-            desc = ("p", f"({ve} & {U64_MASK})", d)
-        elif op == "bitcast":
-            f = _FunctionCompiler._cast_fn(op, src_ty, dst_ty)
-            if f is None:
-                self._sink_value(inst, v, (v,))
-                return
-            name = self._bind(f)
-            desc = ("p", f"{name}({ve})", d)
-        elif op in ("fptrunc", "fpext", "uitofp"):
-            desc = ("p", f"float({ve})", d)
-        elif op == "sitofp":
-            half = 1 << (src_ty.bits - 1)
-            desc = ("p", f"float(({ve} ^ {half}) - {half})", d)
-        else:  # pragma: no cover - unknown cast opcode
-            name = self._bind(VMError(f"cast {op}"))
-            self._step([f"raise {name}"], raising=True)
-            return
-        if v[0] == "f":
-            self._assign(inst, ("f", desc[1], d))
-        else:
-            self._sink_value(inst, desc, (v,))
+        self._compile_scalar(inst, [a, b])
 
     def _compile_select(self, inst: Select) -> None:
         c = self._operand(inst.condition)

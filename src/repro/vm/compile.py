@@ -11,8 +11,10 @@ over pre-resolved state, while keeping :class:`RuntimeStats`
   instead of a ``Dict[Value, object]``;
 * constants (including loaded global addresses) are folded to plain
   ints/floats at compile time;
-* ``icmp``/``fcmp``/binops are specialized to a single pre-built
-  operator closure per predicate/opcode;
+* binops, ``icmp``/``fcmp`` and casts are closures built from the
+  shared scalar-semantics table's templates
+  (:mod:`repro.ir.instructions`) with the operand reads inlined, one
+  ``exec`` per (op, widths, operand kinds);
 * phi nodes become per-predecessor parallel move lists, precomputed
   per CFG edge;
 * single-use side-effect-free instructions (binops, compares, casts,
@@ -46,8 +48,7 @@ address are never fused or folded.
 
 from __future__ import annotations
 
-import math
-import operator
+import functools
 import struct
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
@@ -59,7 +60,6 @@ from ..ir.instructions import (
     Call,
     Cast,
     CondBr,
-    FCMP_EVAL,
     FCmp,
     GEP,
     ICmp,
@@ -69,7 +69,10 @@ from ..ir.instructions import (
     Ret,
     Select,
     Store,
+    SCALAR_HELPERS,
     Unreachable,
+    scalar_evaluator,
+    semantics_of,
 )
 from ..ir.module import BasicBlock, Function, GlobalVariable
 from ..ir.types import (
@@ -78,6 +81,7 @@ from ..ir.types import (
     IntType,
     PointerType,
     StructType,
+    U64_MASK,
     VoidType,
     size_of,
     struct_field_offset,
@@ -96,25 +100,6 @@ from . import costs
 if TYPE_CHECKING:  # pragma: no cover
     from .interpreter import VirtualMachine
 
-U64_MASK = (1 << 64) - 1
-
-_DIV_OPS = frozenset(("sdiv", "udiv", "srem", "urem"))
-#: Casts that cannot raise (``fptosi``/``fptoui`` blow up on NaN/inf).
-_PURE_CASTS = frozenset((
-    "trunc", "zext", "sext", "ptrtoint", "inttoptr", "bitcast",
-    "fptrunc", "fpext", "sitofp", "uitofp",
-))
-
-_ICMP_UNSIGNED_OPS = {
-    "eq": operator.eq, "ne": operator.ne,
-    "ult": operator.lt, "ule": operator.le,
-    "ugt": operator.gt, "uge": operator.ge,
-}
-_ICMP_SIGNED_OPS = {
-    "slt": operator.lt, "sle": operator.le,
-    "sgt": operator.gt, "sge": operator.ge,
-}
-
 
 def _raiser(exc: Exception) -> Callable:
     """A step that raises ``exc`` when (and only when) executed --
@@ -125,6 +110,40 @@ def _raiser(exc: Exception) -> Callable:
         raise exc
 
     return step
+
+
+#: How a generated scalar closure reads an operand descriptor's payload
+#: ``x``: a frame slot, a constant, or a getter call.
+_READS = {"s": "frame[{}]", "c": "{}", "p": "{}(frame)", "f": "{}(frame)"}
+
+
+@functools.lru_cache(maxsize=None)
+def _scalar_maker(template: str, kinds: Tuple[str, ...], store: bool) -> Callable:
+    """A maker of closures that evaluate a semantics-table ``template``
+    (widths filled in) on operands of the given descriptor kinds, the
+    reads inlined.  ``make(x[, y])`` returns a getter ``frame -> value``;
+    with ``store`` it is ``make(dst, x[, y])`` and returns a step that
+    sets ``frame[dst]``.  When the template reads a getter operand more
+    than once, every getter operand is first called once, in operand
+    order, into a local.  Built with one ``exec`` per distinct key."""
+    params = ("x", "y")[:len(kinds)]
+    reread = any(k in ("p", "f") and template.count("{%s}" % n) > 1
+                 for n, k in zip("ab", kinds))
+    lines, reads = [], {}
+    for n, k, p in zip("ab", kinds, params):
+        reads[n] = _READS[k].format(p)
+        if reread and k in ("p", "f"):
+            lines.append(f"{n} = {reads[n]}")
+            reads[n] = n
+    value = template.format(**reads)
+    lines.append(f"frame[dst] = {value}" if store else f"return {value}")
+    src = (f"def make({'dst, ' * store}{', '.join(params)}):\n"
+           "    def run(frame):\n"
+           + "".join(f"        {line}\n" for line in lines)
+           + "    return run\n")
+    namespace = dict(SCALAR_HELPERS)
+    exec(src, namespace)
+    return namespace["make"]
 
 
 def _unroll(stats, oc, rb) -> None:
@@ -518,69 +537,6 @@ class _FunctionCompiler:
                 frame[dst] = g(frame)
         return step
 
-    # -- shape-specialized closure factories ---------------------------
-    @staticmethod
-    def _bin_desc(a: Tuple, b: Tuple, f: Callable) -> Tuple:
-        """Value descriptor for ``f(a, b)`` -- folds const/const.
-        Every operand shape gets its own closure so slot and constant
-        operands are read inline instead of through a getter call
-        (payloads of "p"/"f" descriptors already are getters)."""
-        ak, av = a
-        bk, bv = b
-        if ak == "s":
-            if bk == "s":
-                return ("p", lambda frame: f(frame[av], frame[bv]))
-            if bk == "c":
-                return ("p", lambda frame: f(frame[av], bv))
-            return ("p", lambda frame: f(frame[av], bv(frame)))
-        if ak == "c":
-            if bk == "s":
-                return ("p", lambda frame: f(av, frame[bv]))
-            if bk == "c":
-                return ("c", f(av, bv))
-            return ("p", lambda frame: f(av, bv(frame)))
-        if bk == "s":
-            return ("p", lambda frame: f(av(frame), frame[bv]))
-        if bk == "c":
-            return ("p", lambda frame: f(av(frame), bv))
-        return ("p", lambda frame: f(av(frame), bv(frame)))
-
-    @staticmethod
-    def _bin_closure(dst: int, a: Tuple, b: Tuple, f: Callable) -> Callable:
-        """frame[dst] = f(a, b) with the operand shapes inlined."""
-        ak, av = a
-        bk, bv = b
-        if ak == "s":
-            if bk == "s":
-                def step(frame):
-                    frame[dst] = f(frame[av], frame[bv])
-            elif bk == "c":
-                def step(frame):
-                    frame[dst] = f(frame[av], bv)
-            else:
-                def step(frame):
-                    frame[dst] = f(frame[av], bv(frame))
-        elif ak == "c":
-            if bk == "s":
-                def step(frame):
-                    frame[dst] = f(av, frame[bv])
-            else:
-                bg = _FunctionCompiler._getter(b)
-
-                def step(frame):
-                    frame[dst] = f(av, bg(frame))
-        else:
-            if bk == "s":
-                def step(frame):
-                    frame[dst] = f(av(frame), frame[bv])
-            elif bk == "c":
-                def step(frame):
-                    frame[dst] = f(av(frame), bv)
-            else:
-                def step(frame):
-                    frame[dst] = f(av(frame), bv(frame))
-        return step
-
     # -- instruction dispatch ------------------------------------------
     def _compile_instruction(self, inst, body: List[Callable]) -> None:
         cls = type(inst)
@@ -593,35 +549,19 @@ class _FunctionCompiler:
             self._charge("store", costs.INSTRUCTION_COSTS["store"], stores=1,
                          mi=mi)
             body.append(self._compile_store(inst))
-        elif cls is BinOp:
+        elif cls is BinOp or cls is Cast:
             self._charge(inst.opcode, costs.INSTRUCTION_COSTS[inst.opcode],
                          mi=mi)
-            self._compile_binop(inst, body)
+            self._compile_scalar(inst, body)
         elif cls is GEP:
             self._charge("gep", 1, mi=mi)
             self._compile_gep(inst, body)
         elif cls is ICmp:
             self._charge("icmp", 1, mi=mi)
-            a = self._operand(inst.lhs)
-            b = self._operand(inst.rhs)
-            f = self._icmp_fn(inst)
-            if self._use_once(inst) and self._fusable(a, b):
-                self._pending[inst] = self._bin_desc(a, b, f)
-            else:
-                body.append(self._bin_closure(self.slots[inst], a, b, f))
+            self._compile_scalar(inst, body)
         elif cls is FCmp:
             self._charge("fcmp", 2, mi=mi)
-            a = self._operand(inst.lhs)
-            b = self._operand(inst.rhs)
-            f = FCMP_EVAL[inst.predicate]
-            if self._use_once(inst) and self._fusable(a, b):
-                self._pending[inst] = self._bin_desc(a, b, f)
-            else:
-                body.append(self._bin_closure(self.slots[inst], a, b, f))
-        elif cls is Cast:
-            self._charge(inst.opcode, costs.INSTRUCTION_COSTS[inst.opcode],
-                         mi=mi)
-            self._compile_cast(inst, body)
+            self._compile_scalar(inst, body)
         elif cls is Select:
             self._charge("select", 1, mi=mi)
             self._compile_select(inst, body)
@@ -1093,269 +1033,43 @@ class _FunctionCompiler:
         return step
 
     # -- arithmetic / comparison / casts -------------------------------
-    def _compile_binop(self, inst: BinOp, body: List[Callable]) -> None:
-        op = inst.opcode
-        a = self._operand(inst.lhs)
-        b = self._operand(inst.rhs)
-        ty = inst.type
-        if isinstance(ty, FloatType):
-            f = self._float_binop_fn(op)
-        else:
-            assert isinstance(ty, IntType)
-            f = self._int_binop_fn(op, ty.bits, ty.mask)
-        if f is None:
-            self._emit_raising(body, _raiser(VMError(f"int binop {op}")))
+    def _compile_scalar(self, inst: Instruction, body: List[Callable]) -> None:
+        """A binop, comparison or cast: a closure built from its shared
+        semantics-table template, operand reads inlined."""
+        operands = [self._operand(v) for v in inst.operands]
+        sem = semantics_of(inst)
+        if sem is None:
+            self._emit_raising(body, _raiser(VMError(f"int binop {inst.opcode}")))
             return
-        if op in _DIV_OPS:
-            # Division traps on zero -- always a standalone step with
-            # charge rollback, never fused or const-folded.
-            self._emit_raising(
-                body, self._bin_closure(self.slots[inst], a, b, f))
-            return
-        if self._use_once(inst) and self._fusable(a, b):
-            self._pending[inst] = self._bin_desc(a, b, f)
-            return
-        dst = self.slots[inst]
-        # Fully inlined closures for the hottest two opcodes.
-        if op in ("add", "sub") and a[0] == "s" and isinstance(ty, IntType):
-            av = a[1]
-            mask = ty.mask
-            if op == "add":
-                if b[0] == "s":
-                    bv = b[1]
-
-                    def step(frame):
-                        frame[dst] = (frame[av] + frame[bv]) & mask
-
-                    body.append(step)
-                    return
-                if b[0] == "c":
-                    bc = b[1]
-
-                    def step(frame):
-                        frame[dst] = (frame[av] + bc) & mask
-
-                    body.append(step)
-                    return
-            else:
-                if b[0] == "s":
-                    bv = b[1]
-
-                    def step(frame):
-                        frame[dst] = (frame[av] - frame[bv]) & mask
-
-                    body.append(step)
-                    return
-                if b[0] == "c":
-                    bc = b[1]
-
-                    def step(frame):
-                        frame[dst] = (frame[av] - bc) & mask
-
-                    body.append(step)
-                    return
-        body.append(self._bin_closure(dst, a, b, f))
-
-    @staticmethod
-    def _float_binop_fn(op: str) -> Optional[Callable]:
-        if op == "fadd":
-            return operator.add
-        if op == "fsub":
-            return operator.sub
-        if op == "fmul":
-            return operator.mul
-        if op == "fdiv":
-            inf = float("inf")
-
-            def fdiv(x, y):
-                return x / y if y != 0.0 else inf
-
-            return fdiv
-        if op == "frem":
-            fmod = math.fmod
-            nan = float("nan")
-
-            def frem(x, y):
-                return fmod(x, y) if y != 0.0 else nan
-
-            return frem
-        return None
-
-    @staticmethod
-    def _int_binop_fn(op: str, bits: int, mask: int) -> Optional[Callable]:
-        if op == "add":
-            return lambda x, y: (x + y) & mask
-        if op == "sub":
-            return lambda x, y: (x - y) & mask
-        if op == "mul":
-            return lambda x, y: (x * y) & mask
-        if op == "and":
-            return operator.and_
-        if op == "or":
-            return operator.or_
-        if op == "xor":
-            return operator.xor
-        if op == "shl":
-            return lambda x, y: (x << (y % bits)) & mask
-        if op == "lshr":
-            return lambda x, y: x >> (y % bits)
-        if op == "ashr":
-            half, full = 1 << (bits - 1), 1 << bits
-
-            def ashr(x, y):
-                if x >= half:
-                    x -= full
-                return (x >> (y % bits)) & mask
-
-            return ashr
-        if op in ("sdiv", "srem"):
-            half, full = 1 << (bits - 1), 1 << bits
-            srem = op == "srem"
-
-            def sdiv(x, y):
-                if x >= half:
-                    x -= full
-                if y >= half:
-                    y -= full
-                if y == 0:
-                    raise MemoryFault(0, 0, "integer division by zero")
-                q = abs(x) // abs(y)
-                if (x < 0) != (y < 0):
-                    q = -q
-                return (x - q * y if srem else q) & mask
-
-            return sdiv
-        if op in ("udiv", "urem"):
-            urem = op == "urem"
-
-            def udiv(x, y):
-                if y == 0:
-                    raise MemoryFault(0, 0, "integer division by zero")
-                return (x % y if urem else x // y) & mask
-
-            return udiv
-        return None
-
-    @staticmethod
-    def _icmp_fn(inst: ICmp) -> Callable:
-        pred = inst.predicate
-        signed_op = _ICMP_SIGNED_OPS.get(pred)
-        if signed_op is None:
-            op = _ICMP_UNSIGNED_OPS[pred]
-            return lambda x, y: 1 if op(x, y) else 0
-        ty = inst.lhs.type
-        bits = ty.bits if isinstance(ty, IntType) else 64
-        half, full = 1 << (bits - 1), 1 << bits
-
-        def f(x, y):
-            if x >= half:
-                x -= full
-            if y >= half:
-                y -= full
-            return 1 if signed_op(x, y) else 0
-
-        return f
-
-    def _compile_cast(self, inst: Cast, body: List[Callable]) -> None:
-        op = inst.opcode
-        src_ty = inst.value.type
-        dst_ty = inst.type
-        v = self._operand(inst.value)
-        f = self._cast_fn(op, src_ty, dst_ty)
-        if f is None:
+        if sem.template == "{a}":
             # Identity cast (zext, pointer bitcast, ...): forward the
             # operand descriptor itself.
-            self._sink_or_copy(inst, body, v)
+            self._sink_or_copy(inst, body, operands[0])
             return
-        if op in _PURE_CASTS and self._use_once(inst) and self._fusable(v):
-            if v[0] == "c":
-                self._pending[inst] = ("c", f(v[1]))
-            elif v[0] == "s":
-                sv = v[1]
-                self._pending[inst] = ("p", lambda frame: f(frame[sv]))
-            else:
-                g = v[1]
-                self._pending[inst] = ("p", lambda frame: f(g(frame)))
-            return
-        dst = self.slots[inst]
-        if v[0] == "s":
-            src = v[1]
-
-            def step(frame):
-                frame[dst] = f(frame[src])
-        else:
-            g = self._getter(v)
-
-            def step(frame):
-                frame[dst] = f(g(frame))
-        if op in _PURE_CASTS:
-            body.append(step)
-        else:
-            # fptosi/fptoui raise on NaN/inf -- keep the rollback exact.
+        kinds = tuple(d[0] for d in operands)
+        payloads = [d[1] for d in operands]
+        if sem.may_raise:
+            # Traps (division by zero, fptosi of NaN/inf): always a
+            # standalone step with charge rollback, never fused or
+            # const-folded.
+            step = _scalar_maker(sem.template, kinds, True)(
+                self.slots[inst], *payloads)
             self._emit_raising(body, step)
+        elif self._use_once(inst) and self._fusable(*operands):
+            if all(k == "c" for k in kinds):
+                self._pending[inst] = ("c", scalar_evaluator(sem)(*payloads))
+            else:
+                self._pending[inst] = (
+                    "p", _scalar_maker(sem.template, kinds, False)(*payloads))
+        else:
+            body.append(_scalar_maker(sem.template, kinds, True)(
+                self.slots[inst], *payloads))
 
     def _sink_or_copy(self, inst, body: List[Callable], desc: Tuple) -> None:
         if self._use_once(inst) and self._fusable(desc):
             self._pending[inst] = desc
         else:
             body.append(self._store_step(self.slots[inst], desc))
-
-    @staticmethod
-    def _cast_fn(op: str, src_ty, dst_ty) -> Optional[Callable]:
-        """Scalar conversion for a cast; None means identity."""
-        if op == "trunc":
-            assert isinstance(dst_ty, IntType)
-            mask = dst_ty.mask
-            return lambda x: x & mask
-        if op == "zext":
-            return None
-        if op == "sext":
-            assert isinstance(src_ty, IntType) and isinstance(dst_ty, IntType)
-            half, full = 1 << (src_ty.bits - 1), 1 << src_ty.bits
-            dmask = dst_ty.mask
-
-            def sext(x):
-                if x >= half:
-                    x -= full
-                return x & dmask
-
-            return sext
-        if op == "ptrtoint":
-            mask = dst_ty.mask if isinstance(dst_ty, IntType) else U64_MASK
-            return lambda x: x & mask
-        if op == "inttoptr":
-            return lambda x: x & U64_MASK
-        if op == "bitcast":
-            if isinstance(src_ty, IntType) and isinstance(dst_ty, FloatType):
-                fmt = "<f" if dst_ty.bits == 32 else "<d"
-                nbytes = dst_ty.bits // 8
-                unpack = struct.unpack
-                return lambda x: unpack(fmt, x.to_bytes(nbytes, "little"))[0]
-            if isinstance(src_ty, FloatType) and isinstance(dst_ty, IntType):
-                fmt = "<f" if src_ty.bits == 32 else "<d"
-                pack = struct.pack
-                from_bytes = int.from_bytes
-                return lambda x: from_bytes(pack(fmt, x), "little")
-            return None
-        if op in ("fptrunc", "fpext"):
-            return float
-        if op in ("fptosi", "fptoui"):
-            assert isinstance(dst_ty, IntType)
-            mask = dst_ty.mask
-            return lambda x: int(x) & mask
-        if op == "sitofp":
-            assert isinstance(src_ty, IntType)
-            half, full = 1 << (src_ty.bits - 1), 1 << src_ty.bits
-
-            def sitofp(x):
-                if x >= half:
-                    x -= full
-                return float(x)
-
-            return sitofp
-        if op == "uitofp":
-            return float
-        return _raiser(VMError(f"cast {op}"))  # pragma: no cover
 
     def _compile_select(self, inst: Select, body: List[Callable]) -> None:
         c = self._operand(inst.condition)

@@ -17,6 +17,7 @@ the global placer so globals land in low-fat regions.
 
 from __future__ import annotations
 
+import math
 import operator
 import struct
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -49,6 +50,7 @@ from ..ir.types import (
     PointerType,
     StructType,
     Type,
+    U64_MASK,
     size_of,
     struct_field_offset,
 )
@@ -77,7 +79,6 @@ from .native import install_libc
 from .stats import RuntimeStats
 
 FUNCTION_SEGMENT_BASE = 0x2000
-U64_MASK = (1 << 64) - 1
 _LOAD_COST = costs.INSTRUCTION_COSTS["load"]
 _STORE_COST = costs.INSTRUCTION_COSTS["store"]
 
@@ -510,11 +511,19 @@ class VirtualMachine:
             if op == "fmul":
                 return lhs * rhs
             if op == "fdiv":
-                return lhs / rhs if rhs != 0.0 else float("inf")
+                if rhs != 0.0:
+                    return lhs / rhs
+                if math.isnan(lhs) or lhs == 0.0:
+                    return math.nan
+                negative = (lhs < 0.0) != (math.copysign(1.0, rhs) < 0.0)
+                return -math.inf if negative else math.inf
             if op == "frem":
-                import math
-
-                return math.fmod(lhs, rhs) if rhs != 0.0 else float("nan")
+                # C fmod: NaN unless the dividend is finite and the
+                # divisor a nonzero number.
+                if (math.isinf(lhs) or math.isnan(lhs) or math.isnan(rhs)
+                        or rhs == 0.0):
+                    return math.nan
+                return math.fmod(lhs, rhs)
             raise VMError(f"float binop {op}")
         assert isinstance(ty, IntType)
         bits, mask = ty.bits, ty.mask
@@ -599,6 +608,9 @@ class VirtualMachine:
             return float(value)
         if op in ("fptosi", "fptoui"):
             assert isinstance(dst_ty, IntType)
+            if not math.isfinite(value):
+                raise MemoryFault(
+                    0, 0, "float-to-integer conversion of a non-finite value")
             return int(value) & dst_ty.mask
         if op in ("sitofp", "uitofp"):
             assert isinstance(src_ty, IntType)

@@ -186,6 +186,17 @@ class Memory:
         self._allocs.insert(idx, alloc)
         return alloc
 
+    def release(self) -> None:
+        """Drop the contents of every mapped allocation; the run is
+        over.  A finished VM sits in reference cycles (natives, runtimes
+        and compiled steps all point back at it), so without this its
+        pages would live until the next full collection."""
+        for alloc in self._allocs:
+            alloc.data = bytearray()
+        self._bases.clear()
+        self._allocs.clear()
+        self._hot = None
+
     def unmap(self, alloc: Allocation) -> None:
         """Remove an allocation from the index entirely."""
         if self._hot is alloc:

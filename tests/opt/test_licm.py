@@ -5,6 +5,8 @@ from repro.ir import BinOp, Call, Load, verify_module
 from repro.opt import GVN, LICM, Mem2Reg, SimplifyCFG
 from repro.vm import VirtualMachine
 from repro.analysis import LoopInfo
+from repro.driver import NOOP, CompileOptions, compile_and_run
+from repro.vm.engines import ENGINES
 
 
 def prepare(src):
@@ -136,6 +138,35 @@ class TestHoisting:
         LICM().run(mod)
         verify_module(mod)
         assert run(mod) == (0, ["0"])  # no spurious division-by-zero
+
+    def test_trapping_cast_needs_guaranteed_execution(self):
+        # fptosi of inf traps; the guard keeps it from ever executing,
+        # so LICM must not speculate it into the preheader.
+        sources = {
+            "a.c": r"""
+            long f(double x, int n) {
+                long s = 0; int i;
+                for (i = 0; i < n; i++) { if (x < 100.0) s = s + (long)x; }
+                return s;
+            }""",
+            "b.c": r"""
+            long f(double x, int n);
+            int main() {
+                double *p = (double *)malloc(16); double z = 0.0;
+                p[0] = 1.0 / z; p[1] = 3.0;
+                print_i64(f(p[0], 4)); print_i64(f(p[1], 4));
+                return 0;
+            }""",
+        }
+        for engine in ENGINES:
+            for opt_level, lto in ((0, False), (3, False), (3, True)):
+                result = compile_and_run(
+                    sources, NOOP,
+                    CompileOptions(opt_level=opt_level,
+                                   link_time_optimization=lto),
+                    engine=engine)
+                assert result.ok, (engine, opt_level, lto, result.describe())
+                assert result.output == ["0", "12"], (engine, opt_level, lto)
 
     def test_readnone_call_hoisted(self):
         src = r"""

@@ -7,10 +7,13 @@ points -- must match the other two engines; these tests pin down the
 mechanisms that make that work: the while-loop block dispatch, phi
 tuple assignments (including swap cycles), exact cycle rollback on
 raising steps, per-predicate fcmp NaN semantics, the profile
-fallback, source dumping, and the per-function emission cache.
+fallback, source dumping, the per-function emission cache, and the
+import boundary to the closure tier.
 """
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +25,7 @@ from repro.ir import (
     Module,
 )
 from repro.vm import VirtualMachine
+from repro.vm import codegen
 from repro.vm.codegen import CodegenFunction
 from repro.errors import VMError
 
@@ -357,3 +361,21 @@ class TestExecuteArgumentFixing:
         assert compiled.execute([7, 8]) == 7        # exact
         assert compiled.execute([7, 8, 9]) == 7     # extra dropped
         assert compiled.execute([7]) == 7           # missing -> None
+
+
+class TestImportBoundary:
+    def test_codegen_imports_nothing_from_the_closure_tier(self):
+        # Both tiers read the shared semantics table in repro.ir; the
+        # closure tier must stay deletable without touching codegen.
+        tree = ast.parse(Path(codegen.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                base = "." * node.level + (node.module or "")
+                imported.add(base)
+                imported.update(f"{base}.{a.name}" for a in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(a.name for a in node.names)
+        assert not {m for m in imported
+                    if m in (".compile", "repro.vm.compile")
+                    or m.startswith((".compile.", "repro.vm.compile."))}, imported

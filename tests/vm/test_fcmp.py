@@ -100,8 +100,8 @@ class TestBothEngines:
 
 
 class TestMiniCNaNSemantics:
-    # inf - inf is the portable NaN here: this VM defines x / 0.0 as
-    # inf (including 0/0), so division cannot produce one.
+    # mk(i, i) is inf - inf, a NaN computed through memory so the
+    # constant folder cannot see it.
     NAN_PROLOGUE = r"""
     double mk(double a, double b) { double c[1]; c[0] = a; return c[0] - b; }
     """

@@ -45,6 +45,21 @@ class TestMemoryMapping:
         # space can be reused after unmap
         mem.map(Allocation(0x10000, 32, "heap"))
 
+    def test_release_drops_contents(self):
+        mem = Memory()
+        alloc = mem.map(Allocation(0x10000, 64, "heap"))
+        mem.release()
+        assert mem.find(0x10000) is None
+        assert len(alloc.data) == 0
+
+    def test_run_program_releases_memory(self, monkeypatch):
+        from repro.driver import compile_and_run
+
+        released = []
+        monkeypatch.setattr(Memory, "release", lambda self: released.append(self))
+        result = compile_and_run("int main() { print_i64(7); return 0; }")
+        assert result.ok and result.output == ["7"] and len(released) == 1
+
 
 class TestAccess:
     def _mem(self):

@@ -12,11 +12,19 @@ def successors(block: BasicBlock) -> List[BasicBlock]:
 
 
 def predecessor_map(fn: Function) -> Dict[BasicBlock, List[BasicBlock]]:
-    """Predecessors of every block, computed in one pass."""
+    """Predecessors of every block, in one sweep over the terminators.
+
+    Each list is in block order and names a predecessor once, even when
+    a ``CondBr`` sends both edges to the same block: exactly what
+    :attr:`BasicBlock.predecessors` returns, for all blocks at once.
+    The map is a snapshot; a pass that rewires terminators must update
+    it or build a new one."""
     preds: Dict[BasicBlock, List[BasicBlock]] = {b: [] for b in fn.blocks}
     for block in fn.blocks:
         for succ in block.successors:
-            preds.setdefault(succ, []).append(block)
+            entry = preds.setdefault(succ, [])
+            if not entry or entry[-1] is not block:
+                entry.append(block)
     return preds
 
 

@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..ir.instructions import Instruction, Phi
 from ..ir.module import BasicBlock, Function
 from ..ir.values import Value
-from .cfg import reverse_postorder
+from .cfg import predecessor_map, reverse_postorder
 
 #: Abstract states map client-chosen hashable keys to lattice facts.
 State = Dict[object, object]
@@ -77,7 +77,8 @@ class DataflowClient:
         return state
 
     def join_fact(self, a: object, b: object) -> Optional[object]:
-        """Least upper bound of two facts; ``None`` means top."""
+        """Least upper bound of two facts; ``None`` means top.  Must be
+        idempotent: the engine does not join a fact with its equal."""
         return a if a == b else None
 
     def widen_fact(self, old: object, new: object) -> Optional[object]:
@@ -112,12 +113,15 @@ class ForwardDataflow:
         if not order:
             return {}
         rpo_index = {block: i for i, block in enumerate(order)}
+        # The solver never changes the CFG: one predecessor snapshot
+        # serves the whole run.
+        preds = predecessor_map(fn)
         # A block is a widening point iff some predecessor comes later
         # in reverse postorder -- i.e. the block closes a cycle.
         widen_points = {
             block
             for block in order
-            for pred in block.predecessors
+            for pred in preds[block]
             if pred in rpo_index and rpo_index[pred] >= rpo_index[block]
         }
 
@@ -167,7 +171,7 @@ class ForwardDataflow:
 
                 edges = [
                     edge_out[(pred, succ)]
-                    for pred in succ.predecessors
+                    for pred in preds[succ]
                     if (pred, succ) in edge_out
                 ]
                 if not edges:
@@ -197,10 +201,17 @@ class ForwardDataflow:
         Phi keys require a fact on *every* edge (a phi takes a
         different value per edge; one unknown incoming makes it
         unknown).  Other keys follow the client's
-        :meth:`~DataflowClient.keep_unmatched_key` policy."""
+        :meth:`~DataflowClient.keep_unmatched_key` policy.
+
+        Two shortcuts rely on the join being idempotent
+        (``join_fact(x, x) == x``, as any lattice join is): a lone
+        incoming edge is copied, and a fact equal to the running join
+        is not joined again."""
         client = self.client
         if not edges:
             return {}
+        if len(edges) == 1:
+            return dict(edges[0])
         merged: State = {}
         keys = set()
         for state in edges:
@@ -213,6 +224,8 @@ class ForwardDataflow:
                     continue
             joined = facts[0]
             for fact in facts[1:]:
+                if fact is joined or fact == joined:
+                    continue
                 joined = client.join_fact(joined, fact)
                 if joined is None:
                     break

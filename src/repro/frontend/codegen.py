@@ -56,7 +56,7 @@ from ..ir import (
 from ..ir.values import Constant, Value
 from ..vm.native import LIBC_ATTRIBUTES, LIBC_SIGNATURES
 from . import ast
-from .parser import parse
+from .parser import nesting_headroom, parse
 
 # C signatures of the libc builtins, for argument checking.
 _VOIDP = ast.CPointer(ast.CVOID)
@@ -960,4 +960,5 @@ def compile_source(
 ) -> Module:
     """Compile MiniC source text into an IR module."""
     unit = parse(source, name)
-    return CodeGenerator(unit, obfuscate_pointer_copies).generate()
+    with nesting_headroom():
+        return CodeGenerator(unit, obfuscate_pointer_copies).generate()

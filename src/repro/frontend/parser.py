@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import sys
+from contextlib import contextmanager
+from typing import Iterator, List, Optional, Tuple
 
 from ..errors import CompileError
 from . import ast
@@ -26,6 +28,31 @@ _BINARY_PRECEDENCE = {
 
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
 
+#: Modelled nesting limits.  C guarantees at least 63 levels of
+#: parenthesized expressions and 127 of nested blocks; MiniC allows 256
+#: of each.  An expression's depth counts every operand nested inside
+#: another (parentheses, operators, call arguments, subscripts); a
+#: left-associative chain ``a + b + c`` nests one level per operator,
+#: as its syntax tree does.  A deeper program is a ``CompileError``.
+MAX_EXPRESSION_DEPTH = 256
+MAX_STATEMENT_DEPTH = 256
+
+#: The parser and the frontend code generator recurse a few host frames
+#: per nesting level; within the limits above they stay far below this
+#: host recursion limit, whatever the caller's stack depth.
+_HOST_RECURSION_LIMIT = 10_000
+
+
+@contextmanager
+def nesting_headroom() -> Iterator[None]:
+    """Raise the host recursion limit for parsing or lowering MiniC."""
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, _HOST_RECURSION_LIMIT))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old_limit)
+
 
 class Parser:
     def __init__(self, source: str, name: str = "tu"):
@@ -33,6 +60,8 @@ class Parser:
         self.pos = 0
         self.unit = ast.TranslationUnit(name=name)
         self.struct_tags = set()
+        self.expression_depth = 0
+        self.statement_depth = 0
 
     # -- token helpers ---------------------------------------------------
     @property
@@ -65,6 +94,15 @@ class Parser:
                 f"expected {want!r}, found {self.current.text!r}", self.current.line
             )
         return self.advance()
+
+    def nest(self, line: int) -> None:
+        """Enter one more level of expression nesting; the caller
+        restores :attr:`expression_depth` when it leaves."""
+        self.expression_depth += 1
+        if self.expression_depth > MAX_EXPRESSION_DEPTH:
+            raise CompileError(
+                f"expression nested more than {MAX_EXPRESSION_DEPTH} "
+                f"levels deep", line)
 
     # -- types ---------------------------------------------------------------
     def at_type(self) -> bool:
@@ -246,6 +284,16 @@ class Parser:
         return ast.Block(line=line, statements=statements)
 
     def parse_statement(self) -> ast.Stmt:
+        self.statement_depth += 1
+        if self.statement_depth > MAX_STATEMENT_DEPTH:
+            raise CompileError(
+                f"statement nested more than {MAX_STATEMENT_DEPTH} "
+                f"levels deep", self.current.line)
+        stmt = self._parse_statement()
+        self.statement_depth -= 1
+        return stmt
+
+    def _parse_statement(self) -> ast.Stmt:
         tok = self.current
         if tok.kind == "op" and tok.text == "{":
             return self.parse_block()
@@ -342,10 +390,13 @@ class Parser:
 
     # -- expressions --------------------------------------------------------------------
     def parse_expression(self) -> ast.Expr:
+        depth = self.expression_depth
         expr = self.parse_assignment()
-        while self.accept("op", ","):
+        while self.check("op", ","):
+            self.nest(self.advance().line)
             rhs = self.parse_assignment()
             expr = ast.Binary(line=rhs.line, op=",", lhs=expr, rhs=rhs)
+        self.expression_depth = depth
         return expr
 
     def parse_assignment(self) -> ast.Expr:
@@ -353,31 +404,39 @@ class Parser:
         tok = self.current
         if tok.kind == "op" and tok.text in _ASSIGN_OPS:
             self.advance()
+            self.nest(tok.line)
             rhs = self.parse_assignment()
+            self.expression_depth -= 1
             return ast.Assign(line=tok.line, op=tok.text, target=lhs, value=rhs)
         return lhs
 
     def parse_conditional(self) -> ast.Expr:
         cond = self.parse_binary(1)
-        if self.accept("op", "?"):
+        if self.check("op", "?"):
+            self.nest(self.advance().line)
             then = self.parse_assignment()
             self.expect("op", ":")
             otherwise = self.parse_conditional()
+            self.expression_depth -= 1
             return ast.Conditional(line=cond.line, cond=cond, then=then, otherwise=otherwise)
         return cond
 
     def parse_binary(self, min_prec: int) -> ast.Expr:
+        depth = self.expression_depth
         lhs = self.parse_unary()
         while True:
             tok = self.current
             if tok.kind != "op":
-                return lhs
+                break
             prec = _BINARY_PRECEDENCE.get(tok.text)
             if prec is None or prec < min_prec:
-                return lhs
+                break
             self.advance()
+            self.nest(tok.line)
             rhs = self.parse_binary(prec + 1)
             lhs = ast.Binary(line=tok.line, op=tok.text, lhs=lhs, rhs=rhs)
+        self.expression_depth = depth
+        return lhs
 
     def _at_cast(self) -> bool:
         if not self.check("op", "("):
@@ -389,11 +448,15 @@ class Parser:
         tok = self.current
         if tok.kind == "op" and tok.text in ("-", "!", "~", "*", "&"):
             self.advance()
+            self.nest(tok.line)
             operand = self.parse_unary()
+            self.expression_depth -= 1
             return ast.Unary(line=tok.line, op=tok.text, operand=operand)
         if tok.kind == "op" and tok.text in ("++", "--"):
             self.advance()
+            self.nest(tok.line)
             operand = self.parse_unary()
+            self.expression_depth -= 1
             # ++x is sugar for (x += 1)
             op = "+=" if tok.text == "++" else "-="
             return ast.Assign(line=tok.line, op=op, target=operand,
@@ -410,7 +473,9 @@ class Parser:
             self.advance()  # "("
             target = self.parse_type()
             self.expect("op", ")")
+            self.nest(line)
             value = self.parse_unary()
+            self.expression_depth -= 1
             return ast.CastExpr(line=line, target=target, value=value)
         return self.parse_postfix()
 
@@ -425,24 +490,26 @@ class Parser:
         return base
 
     def parse_postfix(self) -> ast.Expr:
+        depth = self.expression_depth
         expr = self.parse_primary()
         while True:
             tok = self.current
-            if self.accept("op", "["):
+            if tok.kind != "op" or tok.text not in ("[", ".", "->", "++", "--"):
+                break
+            self.advance()
+            self.nest(tok.line)
+            if tok.text == "[":
                 index = self.parse_expression()
                 self.expect("op", "]")
                 expr = ast.Index(line=tok.line, base=expr, index=index)
-            elif self.accept("op", "."):
+            elif tok.text in (".", "->"):
                 name = self.expect("ident").text
-                expr = ast.Member(line=tok.line, base=expr, name=name, arrow=False)
-            elif self.accept("op", "->"):
-                name = self.expect("ident").text
-                expr = ast.Member(line=tok.line, base=expr, name=name, arrow=True)
-            elif tok.kind == "op" and tok.text in ("++", "--"):
-                self.advance()
-                expr = ast.Postfix(line=tok.line, op=tok.text, operand=expr)
+                expr = ast.Member(line=tok.line, base=expr, name=name,
+                                  arrow=tok.text == "->")
             else:
-                return expr
+                expr = ast.Postfix(line=tok.line, op=tok.text, operand=expr)
+        self.expression_depth = depth
+        return expr
 
     def parse_primary(self) -> ast.Expr:
         tok = self.current
@@ -468,20 +535,25 @@ class Parser:
                 self.advance()
                 args: List[ast.Expr] = []
                 if not self.check("op", ")"):
+                    self.nest(tok.line)
                     while True:
                         args.append(self.parse_assignment())
                         if not self.accept("op", ","):
                             break
+                    self.expression_depth -= 1
                 self.expect("op", ")")
                 return ast.CallExpr(line=tok.line, name=tok.text, args=args)
             return ast.Ident(line=tok.line, name=tok.text)
-        if self.accept("op", "("):
+        if self.check("op", "("):
+            self.nest(self.advance().line)
             expr = self.parse_expression()
             self.expect("op", ")")
+            self.expression_depth -= 1
             return expr
         raise CompileError(f"unexpected token {tok.text!r}", tok.line)
 
 
 def parse(source: str, name: str = "tu") -> ast.TranslationUnit:
     """Parse MiniC source text into a translation unit."""
-    return Parser(source, name).parse_unit()
+    with nesting_headroom():
+        return Parser(source, name).parse_unit()

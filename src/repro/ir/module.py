@@ -70,6 +70,10 @@ class BasicBlock(Value):
 
     @property
     def predecessors(self) -> List["BasicBlock"]:
+        """Blocks that branch here, in block order, each listed once.
+        Scans every block of the function: code that asks for many
+        blocks' predecessors takes one ``analysis.cfg.predecessor_map``
+        snapshot instead."""
         assert self.parent is not None
         return [b for b in self.parent.blocks if self in b.successors]
 

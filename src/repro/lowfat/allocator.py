@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from ..errors import VMError
 from ..vm.memory import Allocation, Memory, StandardAllocator
 from ..vm.stats import RuntimeStats
 from . import layout
@@ -45,7 +46,10 @@ class LowFatAllocator:
         self._count = 0
 
     # -- heap ----------------------------------------------------------
-    def malloc(self, size: int, name: str = "", stack: bool = False) -> Allocation:
+    def malloc(self, size: int, name: str = "",
+               stack: bool = False) -> Optional[Allocation]:
+        """A low-fat block, else a fallback heap block, else None when
+        the request does not fit in the heap either."""
         region = layout.size_class_for(size)
         if region == 0:
             return self._fallback_alloc(size, name)
@@ -76,10 +80,11 @@ class LowFatAllocator:
         self._cursors[region] = cursor + class_size
         return layout.region_base(region) + cursor
 
-    def _fallback_alloc(self, size: int, name: str) -> Allocation:
-        if self.stats is not None:
+    def _fallback_alloc(self, size: int, name: str) -> Optional[Allocation]:
+        alloc = self.fallback.malloc(size, name or "lowfat-fallback")
+        if alloc is not None and self.stats is not None:
             self.stats.lowfat_fallback_allocs += 1
-        return self.fallback.malloc(size, name or "lowfat-fallback")
+        return alloc
 
     def free(self, address: int) -> None:
         if address == 0:
@@ -96,7 +101,10 @@ class LowFatAllocator:
 
     # -- stack discipline -------------------------------------------------
     def stack_alloc(self, size: int, name: str = "") -> Allocation:
-        return self.malloc(size, name or "lf-stack", stack=True)
+        alloc = self.malloc(size, name or "lf-stack", stack=True)
+        if alloc is None:
+            raise VMError("simulated stack overflow")
+        return alloc
 
     def stack_release(self, alloc: Allocation) -> None:
         """Return a stack allocation's slot for reuse.

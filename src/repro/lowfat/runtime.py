@@ -25,6 +25,7 @@ from typing import List, Optional, TYPE_CHECKING
 
 from ..errors import MemSafetyViolation
 from ..vm import costs
+from ..vm.memory import ADDRESS_MASK
 from ..vm.stats import RuntimeStats
 from . import layout
 from .allocator import LowFatAllocator
@@ -79,15 +80,20 @@ class LowFatRuntime:
 
     # -- allocation ----------------------------------------------------------
     def _malloc(self, vm: "VirtualMachine", args: List[int]) -> int:
-        return self.allocator.malloc(args[0]).base
+        alloc = self.allocator.malloc(args[0])
+        return alloc.base if alloc is not None else 0
 
     def _calloc(self, vm: "VirtualMachine", args: List[int]) -> int:
         count, size = args
-        return self.allocator.malloc(count * size).base
+        if count * size > ADDRESS_MASK:
+            return 0  # count * size overflows size_t
+        return self._malloc(vm, [count * size])
 
     def _realloc(self, vm: "VirtualMachine", args: List[int]) -> int:
         old_ptr, new_size = args
         new_alloc = self.allocator.malloc(new_size)
+        if new_alloc is None:
+            return 0  # the old block stays valid and untouched
         if old_ptr != 0:
             old_alloc = vm.memory.find(old_ptr)
             if old_alloc is not None:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import sys
 from typing import Dict, List, Optional, Tuple
 
+from ..analysis.cfg import predecessor_map
 from ..analysis.dominators import DominatorTree
 from ..ir.instructions import (
     BinOp,
@@ -101,6 +102,8 @@ class GVN(FunctionPass):
 
     def run_on_function(self, fn: Function) -> bool:
         domtree = DominatorTree(fn)
+        # GVN rewrites instructions, never terminators: one snapshot.
+        self._preds = predecessor_map(fn)
         pure = _ScopedTable()
         memory = _ScopedTable()
         self._changed = False
@@ -162,7 +165,7 @@ class GVN(FunctionPass):
             # path into it (join or loop back edge) may contain clobbers
             # that the dominator-tree walk does not see.  Start a fresh
             # memory generation in that case.
-            preds = child.predecessors
+            preds = self._preds[child]
             if not (len(preds) == 1 and preds[0] is block):
                 self._memgen += 1
             self._walk(child, domtree, pure, memory)

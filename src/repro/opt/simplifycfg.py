@@ -12,9 +12,9 @@ Four local rewrites to a fixpoint:
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
-from ..analysis.cfg import reachable_blocks
+from ..analysis.cfg import predecessor_map, reachable_blocks
 from ..ir.instructions import Br, CondBr, Phi
 from ..ir.module import BasicBlock, Function
 from ..ir.values import ConstantInt, UndefValue
@@ -90,36 +90,52 @@ class SimplifyCFG(FunctionPass):
     # -- 3: block merging ------------------------------------------------------
     def _merge_blocks(self, fn: Function) -> bool:
         changed = False
+        # One predecessor snapshot per sweep, kept current by each merge.
+        preds = predecessor_map(fn)
+        position = {b: i for i, b in enumerate(fn.blocks)}
         for block in list(fn.blocks):
-            if block not in fn.blocks:
-                continue
+            if block not in preds:
+                continue  # merged away earlier in this sweep
             term = block.terminator
             if not isinstance(term, Br):
                 continue
             succ = term.target
             if succ is block or succ is fn.entry:
                 continue
-            preds = succ.predecessors
-            if len(preds) != 1 or preds[0] is not block:
+            if preds[succ] != [block]:
                 continue
-            # Fold succ's phis (single incoming edge).
-            for phi in succ.phis():
-                phi.replace_all_uses_with(phi.incoming_value_for(block))
-                phi.erase_from_parent()
-            term.erase_from_parent()
-            for inst in list(succ.instructions):
-                succ.remove_instruction(inst)
-                inst.parent = None
-                block.append(inst)
-            # Rewire grandchildren's phis to the merged block.
-            for grandchild in block.successors:
-                for phi in grandchild.phis():
-                    for i, pred in enumerate(phi.incoming_blocks):
-                        if pred is succ:
-                            phi.incoming_blocks[i] = block
-            fn.remove_block(succ)
+            self._merge_into(fn, block, succ, preds, position)
             changed = True
         return changed
+
+    def _merge_into(self, fn: Function, block: BasicBlock, succ: BasicBlock,
+                    preds: Dict[BasicBlock, List[BasicBlock]],
+                    position: Dict[BasicBlock, int]) -> None:
+        """Append ``succ``, whose only predecessor ``block`` branches to
+        it unconditionally, to ``block``.  ``preds`` is updated to equal
+        a fresh :func:`predecessor_map` of the result; ``position`` (the
+        blocks' original order) keeps its lists in block order."""
+        # Fold succ's phis (single incoming edge).
+        for phi in succ.phis():
+            phi.replace_all_uses_with(phi.incoming_value_for(block))
+            phi.erase_from_parent()
+        block.terminator.erase_from_parent()
+        for inst in list(succ.instructions):
+            succ.remove_instruction(inst)
+            inst.parent = None
+            block.append(inst)
+        # Rewire grandchildren's phis and predecessor lists to the
+        # merged block.
+        for grandchild in block.successors:
+            for phi in grandchild.phis():
+                for i, pred in enumerate(phi.incoming_blocks):
+                    if pred is succ:
+                        phi.incoming_blocks[i] = block
+            preds[grandchild] = sorted(
+                (block if p is succ else p for p in preds[grandchild]),
+                key=position.__getitem__)
+        del preds[succ]
+        fn.remove_block(succ)
 
     # -- 4: trivial phi elimination ------------------------------------------------
     def _simplify_phis(self, fn: Function) -> bool:

@@ -175,13 +175,14 @@ class SoftBoundRuntime:
                 # The wrapper's bookkeeping share of the charged call
                 # cost (call_cost = wrapped base + call + overhead).
                 stats.instrumentation_cycles += costs.SB_WRAPPER_OVERHEAD
+            # A NULL result (the request did not fit) gets NULL bounds.
             if name == "malloc":
                 result = impl(vm, args)
-                ss.set_ret(result, result + args[0])
+                ss.set_ret(result, result + args[0] if result else 0)
                 return result
             if name == "calloc":
                 result = impl(vm, args)
-                ss.set_ret(result, result + args[0] * args[1])
+                ss.set_ret(result, result + args[0] * args[1] if result else 0)
                 return result
             if name == "realloc":
                 old_ptr, new_size = args[0], args[1]
@@ -191,6 +192,9 @@ class SoftBoundRuntime:
                     if old_alloc is not None:
                         old_size = old_alloc.size
                 result = impl(vm, args)
+                if not result:
+                    ss.set_ret(0, 0)
+                    return result
                 migrated = min(old_size, new_size)
                 if old_ptr != 0 and result != old_ptr and migrated > 0:
                     # The allocation moved: migrate the trie entries of

@@ -21,9 +21,10 @@ Layout (all constants in :data:`LAYOUT`):
   *not* low-fat: region index 0).
 * ``[2^32, 28 * 2^32)`` -- the 27 Low-Fat regions for sizes 2^4..2^30
   (see :mod:`repro.lowfat.layout`).
-* ``[HEAP_BASE, ...)`` -- the standard heap (region index way above the
-  low-fat range -> non-low-fat).
-* ``[... , STACK_TOP)`` -- the standard stack, growing down.
+* ``[HEAP_BASE, STACK_LIMIT)`` -- the standard heap (region index way
+  above the low-fat range -> non-low-fat); a request that does not fit
+  gets NULL, as C's ``malloc`` returns when memory is exhausted.
+* ``[STACK_LIMIT, STACK_TOP)`` -- the standard stack, growing down.
 """
 
 from __future__ import annotations
@@ -323,10 +324,14 @@ class StandardAllocator:
         self._cursor = base
         self._count = 0
 
-    def malloc(self, size: int, name: str = "") -> Allocation:
+    def malloc(self, size: int, name: str = "") -> Optional[Allocation]:
+        """A new heap block, or None when ``size`` bytes do not fit in
+        what is left of the heap segment."""
         if size < 0:
             raise VMError(f"malloc of negative size {size}")
         padded = max(size, 1)
+        if self._cursor + padded > STACK_LIMIT:
+            return None
         alloc = Allocation(
             base=self._cursor,
             size=padded,

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Callable, List
 from ..errors import MemoryFault
 from ..ir.types import FunctionType, IntType, PointerType, F64, I32, I64, I8, VOID
 from . import costs
+from .memory import ADDRESS_MASK
 
 if TYPE_CHECKING:  # pragma: no cover
     from .interpreter import VirtualMachine
@@ -32,23 +33,32 @@ def _charged_bytes(vm: "VirtualMachine", name: str, nbytes: int) -> None:
 # -- allocation -------------------------------------------------------
 
 
-def native_malloc(vm: "VirtualMachine", args: List[int]) -> int:
-    size = args[0]
+def _heap_alloc(vm: "VirtualMachine", size: int) -> int:
+    """The base of a new heap block, or NULL when it does not fit (a
+    failed allocation is not counted)."""
     alloc = vm.heap.malloc(size)
+    if alloc is None:
+        return 0
     vm.stats.heap_allocs += 1
     return alloc.base
 
 
+def native_malloc(vm: "VirtualMachine", args: List[int]) -> int:
+    return _heap_alloc(vm, args[0])
+
+
 def native_calloc(vm: "VirtualMachine", args: List[int]) -> int:
     count, size = args
-    alloc = vm.heap.malloc(count * size)
-    vm.stats.heap_allocs += 1
-    return alloc.base  # bytearray is zero-initialized already
+    if count * size > ADDRESS_MASK:
+        return 0  # count * size overflows size_t
+    return _heap_alloc(vm, count * size)  # bytearray is zero-initialized
 
 
 def native_realloc(vm: "VirtualMachine", args: List[int]) -> int:
     old_ptr, new_size = args
     new_alloc = vm.heap.malloc(new_size)
+    if new_alloc is None:
+        return 0  # the old block stays valid and untouched
     vm.stats.heap_allocs += 1
     if old_ptr != 0:
         old_alloc = vm.memory.find(old_ptr)

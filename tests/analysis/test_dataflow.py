@@ -1,6 +1,7 @@
 """Tests for the generic forward dataflow engine (worklist + widening)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.cfg import reverse_postorder
 from repro.analysis.dataflow import (
@@ -9,7 +10,9 @@ from repro.analysis.dataflow import (
     ForwardDataflow,
     State,
 )
+from repro.analysis.ranges import IntRange, PtrFact, RangeClient
 from repro.frontend import compile_source
+from repro.ir import GlobalVariable, I32
 from repro.ir.instructions import BinOp
 from repro.opt import Mem2Reg, SimplifyCFG
 
@@ -158,3 +161,121 @@ class TestReplay:
             assert len(seen) == len(block.instructions)
             if seen:
                 assert seen[0] == entry  # state *before* the first inst
+
+
+# -- the merge fast paths ------------------------------------------------
+#
+# ``_merge_edges`` copies a lone incoming edge and skips joining a fact
+# with its equal.  Both shortcuts are exact only for an idempotent join,
+# which the range analysis's two domains must therefore provide.
+
+
+def _bounds(bits):
+    """Extreme and near-extreme values of a signed ``bits``-wide type."""
+    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    return sorted(v for v in {lo, lo + 1, -1, 0, 1, hi - 1, hi}
+                  if lo <= v <= hi)
+
+
+def _ranges(bits):
+    values = _bounds(bits)
+    return [IntRange(bits, lo, hi) for lo in values for hi in values]
+
+
+_SITES = (GlobalVariable("g0", I32), GlobalVariable("g1", I32))
+
+
+class TestJoinIdempotence:
+    @pytest.mark.parametrize("bits", range(1, 65))
+    def test_int_ranges(self, bits):
+        for fact in _ranges(bits):
+            assert fact.join(fact) == fact
+            assert fact.join(IntRange(fact.bits, fact.lo, fact.hi)) == fact
+
+    @pytest.mark.parametrize("size", [None, 0, 1, 16, (1 << 63) - 1])
+    def test_pointer_facts(self, size):
+        # A known allocation size, or none (the site's size is not a
+        # compile-time constant).
+        for site in _SITES:
+            for offset in _ranges(64):
+                fact = PtrFact(site, size, offset)
+                assert fact.join(fact) == fact
+                assert fact.join(PtrFact(site, size, offset)) == fact
+
+    def test_range_client_joins_each_domain_idempotently(self):
+        client = RangeClient(_fn("int main() { return 0; }"))
+        for fact in _ranges(32) + [PtrFact(_SITES[0], 16, r)
+                                   for r in _ranges(64)]:
+            assert client.join_fact(fact, fact) == fact
+
+
+def _general_merge(client, edges, phi_keys):
+    """``_merge_edges`` without its shortcuts: every fact is joined."""
+    merged = {}
+    for key in set().union(*edges):
+        facts = [state[key] for state in edges if key in state]
+        if len(facts) < len(edges) and (
+                key in phi_keys or not client.keep_unmatched_key(key)):
+            continue
+        joined = facts[0]
+        for fact in facts[1:]:
+            joined = client.join_fact(joined, fact)
+            if joined is None:
+                break
+        if joined is not None:
+            merged[key] = joined
+    return merged
+
+
+#: A small pool, so generated edges often carry equal facts (as distinct
+#: objects too) and facts of different widths or domains.
+_FACT_POOL = (
+    [IntRange(8, lo, hi) for lo, hi in ((0, 0), (0, 7), (-128, 127), (3, 5))]
+    + [IntRange(8, 0, 7), IntRange(32, 0, 7), IntRange(64, -1, 1)]
+    + [PtrFact(site, size, IntRange(64, 0, hi))
+       for site in _SITES for size in (None, 16) for hi in (0, 8)]
+    + [PtrFact(_SITES[0], 16, IntRange(64, 0, 8))]
+)
+_VALUE_KEYS = [("v", i) for i in range(3)]
+_MEMORY_KEYS = [("m", i) for i in range(2)]
+_facts = st.sampled_from(_FACT_POOL)
+_states = st.dictionaries(st.sampled_from(_VALUE_KEYS + _MEMORY_KEYS), _facts)
+
+
+class TestMergeFastPaths:
+    @pytest.fixture(scope="class")
+    def client(self):
+        return RangeClient(_fn("int main() { return 0; }"))
+
+    def _both(self, client, edges, phi_keys):
+        fast = ForwardDataflow(client)._merge_edges(edges, phi_keys)
+        assert fast == _general_merge(client, edges, phi_keys)
+        return fast
+
+    def test_single_edge_is_copied(self, client):
+        edge = {("v", 0): IntRange(8, 0, 7), ("m", 0): _FACT_POOL[0]}
+        merged = self._both(client, [edge], {("v", 0)})
+        assert merged == edge and merged is not edge
+
+    def test_equal_facts_as_distinct_objects(self, client):
+        a, b = IntRange(8, 0, 7), IntRange(8, 0, 7)
+        assert self._both(client, [{("v", 0): a}, {("v", 0): b}],
+                          set()) == {("v", 0): a}
+
+    def test_unmatched_keys(self, client):
+        fact = IntRange(8, 3, 5)
+        merged = self._both(client, [{("v", 0): fact, ("m", 0): fact},
+                                     {("v", 1): fact}], set())
+        assert merged == {("v", 0): fact, ("v", 1): fact}
+
+    def test_phi_keys(self, client):
+        fact = IntRange(8, 3, 5)
+        merged = self._both(client, [{("v", 0): fact}, {("v", 0): fact},
+                                     {("v", 1): fact}], {("v", 0)})
+        assert merged == {("v", 1): fact}
+
+    @given(edges=st.lists(_states, min_size=1, max_size=4),
+           phi_keys=st.sets(st.sampled_from(_VALUE_KEYS)))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_general_join(self, client, edges, phi_keys):
+        self._both(client, edges, phi_keys)

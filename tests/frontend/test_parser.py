@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.driver import compile_program, run_program
 from repro.errors import CompileError
-from repro.frontend import parse
-from repro.frontend import ast
+from repro.experiments.common import config_for
+from repro.frontend import ast, compile_source, parse
+from repro.vm.engines import ENGINES
 
 
 class TestDeclarations:
@@ -156,3 +158,61 @@ class TestErrors:
     def test_bad_top_level(self):
         with pytest.raises(CompileError):
             parse("42;")
+
+
+# -- nesting limits ---------------------------------------------------------
+
+#: Programs whose line 3 nests one construct ``n`` levels deep.
+_NESTED = {
+    "parens": lambda n: "(" * n + "x" + ")" * n + ";",
+    "unary": lambda n: "x = " + "- " * n + "x;",
+    "casts": lambda n: "x = " + "(int)" * n + "x;",
+    "sum-chain": lambda n: "x = " + " + ".join(["x"] * n) + ";",
+    "assign-chain": lambda n: "x" + " = x" * n + ";",
+    "conditional-chain": lambda n: "x = " + "x ? 1 : " * n + "0;",
+    "subscripts": lambda n: "x = " + "a[" * n + "0" + "]" * n + ";",
+    "calls": lambda n: "x = " + "f(" * n + "x" + ")" * n + ";",
+    "blocks": lambda n: "{" * n + "x = x + 1;" + "}" * n,
+    "ifs": lambda n: "if (x) " * n + "x = x + 1;",
+    "whiles": lambda n: "while (x < 2) " * n + "x = x + 1;",
+}
+
+
+def _nested_program(shape, n):
+    return ("int a[4];\nint f(int v) { return v; }\n"
+            "int main() { int x = 1; " + _NESTED[shape](n) + "\n"
+            "print_i64((long) x); return 0; }\n")
+
+
+def _deepest_accepted(shape):
+    lo, hi = 0, 4096
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            parse(_nested_program(shape, mid))
+            lo = mid
+        except CompileError:
+            hi = mid
+    return lo
+
+
+class TestNestingLimits:
+    @pytest.mark.parametrize("shape", sorted(_NESTED))
+    def test_deep_nesting_is_a_compile_error(self, shape):
+        # 3000 levels used to end in a host RecursionError.
+        with pytest.raises(CompileError, match="nested more than") as info:
+            compile_source(_nested_program(shape, 3000))
+        assert info.value.line == 3
+
+    def test_c_minimum_of_parenthesized_nesting_is_accepted(self):
+        assert _deepest_accepted("parens") >= 63
+
+    @pytest.mark.parametrize("shape", sorted(_NESTED))
+    def test_deepest_accepted_program_compiles_and_runs(self, shape):
+        # The limits stay far from the host recursion limit: the deepest
+        # program the parser accepts goes through the optimizer, the
+        # instrumentation and every engine without a host exception.
+        source = _nested_program(shape, _deepest_accepted(shape))
+        program = compile_program(source, config_for("softbound-hoist"))
+        for engine in ENGINES:
+            assert run_program(program, engine=engine).ok
